@@ -41,7 +41,7 @@ from .radarsim import (
     sigma_for_snr,
     synth_clean_cube,
 )
-from .rdmap import RDMap, compute_rd_map
+from .rdmap import SEGMENT_SHAPE, RDMap, compute_rd_map
 from .symbolic import DecisionRule, builtin_rule
 
 SNR_GRID_DB = tuple(range(-25, 30, 5))
@@ -210,8 +210,7 @@ def run_monte_carlo(
     """Common-random-numbers sweep over SNR for a set of detector ids."""
     config = config or RadarConfig()
     geometry = derive_geometry(config)
-    detectors = [d if hasattr(d, "run") or isinstance(d, OsCfarDetector) else detector_from_id(d)
-                 for d in detector_ids]
+    detectors = [detector_from_id(d) if isinstance(d, str) else d for d in detector_ids]
     ids = [getattr(d, "id", None) or str(i) for i, d in enumerate(detectors)]
     snr_grid_db = list(snr_grid_db)
 
@@ -225,7 +224,7 @@ def run_monte_carlo(
     hits = np.zeros((len(detectors), len(snr_grid_db)), dtype=np.int64)
     falses = np.zeros_like(hits)
     tested = np.zeros_like(hits)
-    n_segments = (config.n_samples - 16) * (config.n_chirps - 6)
+    n_segments = (config.n_samples - SEGMENT_SHAPE[0] + 1) * (config.n_chirps - SEGMENT_SHAPE[1] + 1)
 
     trial_seeds = np.random.SeedSequence(seed).spawn(n_trials)
     for t in range(n_trials):
@@ -302,9 +301,8 @@ def sweep_runtime_scaling(
     for rows in n_rows_list:
         power = rng.exponential(1.0, size=(rows, n_cols))
         rd = RDMap(power=power, geometry=geometry)
-        sweep_classify(rd, classifier)  # warm up caches and allocator
+        n_segments.append(sweep_classify(rd, classifier).n_tested)  # also warms up
         times.append(_timed(lambda: sweep_classify(rd, classifier)))
-        n_segments.append((rows - 16) * (n_cols - 6))
     slope = float(np.polyfit(np.log(n_segments), np.log(times), 1)[0])
     return {"n_segments": n_segments, "seconds": times, "exponent": slope}
 

@@ -36,11 +36,6 @@ def silu(x):
     return x * expit(x)
 
 
-def silu_deriv(x):
-    s = expit(np.asarray(x, dtype=float))
-    return s * (1.0 + np.asarray(x) * (1.0 - s))
-
-
 # ---------------------------------------------------------------------------
 # B-spline bases on a uniformly extended knot vector
 
@@ -216,12 +211,6 @@ def edge_value(model: KanModel, q: int, r: int, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     design = bspline_design(model.knots[r], x, model.order)
     return model.base_scale[q, r] * silu(x) + model.spline_scale[q, r] * (design @ model.coeffs[q, r])
-
-
-def edge_derivative(model: KanModel, q: int, r: int, x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = bspline_design_deriv(model.knots[r], x, model.order)
-    return model.base_scale[q, r] * silu_deriv(x) + model.spline_scale[q, r] * (d @ model.coeffs[q, r])
 
 
 def predict(model: KanModel, X) -> np.ndarray:

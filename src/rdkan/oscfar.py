@@ -35,14 +35,6 @@ class OsCfarConfig:
         return self.window[0] * self.window[1] - gw
 
 
-@dataclass(frozen=True)
-class CutDetection:
-    range_bin: int
-    doppler_bin: int
-    power: float
-    threshold: float
-
-
 def default_k_rank(n_ref: int) -> int:
     # conventional 3/4 rank
     return int(round(0.75 * n_ref))
@@ -54,7 +46,12 @@ def os_cfar_log_pfa(alpha: float, n_ref: int, k_rank: int) -> float:
 
 
 def os_cfar_pfa(alpha: float, n_ref: int, k_rank: int) -> float:
-    """Exact false-alarm rate of OS-CFAR on i.i.d. exponential cells."""
+    """Exact false-alarm rate of OS-CFAR on i.i.d. exponential cells.
+
+    The product form is Rohling's, H. Rohling, "Radar CFAR thresholding in
+    clutter and multiple target situations", IEEE Trans. Aerosp. Electron.
+    Syst. 19(4), 1983.
+    """
     if not 0 < k_rank <= n_ref:
         raise ValueError(f"k_rank must be in 1..{n_ref}, got {k_rank}")
     if alpha < 0:
@@ -130,27 +127,14 @@ def order_statistic_map(power, window=(17, 7), guard=(2, 1), k_rank=78):
     return os_values, (wr // 2, wd // 2)
 
 
-def os_cfar_detect(rd, config: OsCfarConfig) -> list[CutDetection]:
-    """All CUTs whose power strictly exceeds alpha times the order statistic.
-
-    Edge cells without a full window are never tested.
-    """
-    power = _as_power(rd)
-    os_values, (hr, hd) = order_statistic_map(power, config.window, config.guard, config.k_rank)
-    cut = power[hr:hr + os_values.shape[0], hd:hd + os_values.shape[1]]
-    thr = config.alpha * os_values
-    hits = np.argwhere(cut > thr)
-    return [
-        CutDetection(int(r + hr), int(d + hd), float(cut[r, d]), float(thr[r, d]))
-        for r, d in hits
-    ]
-
-
 def os_cfar_fire_map(power, config: OsCfarConfig, os_values=None):
     """Boolean fire matrix for interior CUTs plus the (hr, hd) offset.
 
-    fires[i, j] refers to power[i + hr, j + hd].  Pass os_values from a
-    previous call to reuse the sort across alpha settings.
+    A CUT fires when its power strictly exceeds alpha times its order
+    statistic; this is the detector's output.  fires[i, j] refers to
+    power[i + hr, j + hd]; edge cells without a full window are never
+    tested.  Pass os_values from a previous call to reuse the sort across
+    alpha settings.
     """
     power = _as_power(power)
     if os_values is None:
@@ -178,23 +162,9 @@ def empirical_false_alarm_rate(configs, n_cuts, seed, map_shape=(256, 128)):
     false_alarms = np.zeros(len(configs), dtype=np.int64)
     for _ in range(n_maps):
         power = rng.exponential(1.0, size=map_shape)
-        os_values, (hr, hd) = order_statistic_map(power, *key)
-        cut = power[hr:hr + os_values.shape[0], hd:hd + os_values.shape[1]]
+        os_values, _ = order_statistic_map(power, *key)
         for i, cfg in enumerate(configs):
-            false_alarms[i] += int(np.count_nonzero(cut > cfg.alpha * os_values))
+            fires, _ = os_cfar_fire_map(power, cfg, os_values)
+            false_alarms[i] += int(np.count_nonzero(fires))
     total = n_maps * per_map
     return false_alarms / total, total
-
-
-def detections_to_csv(path, detections, geometry=None) -> None:
-    header = "range_bin,doppler_bin,power,threshold"
-    rows = [[d.range_bin, d.doppler_bin, d.power, d.threshold] for d in detections]
-    if geometry is not None:
-        header += ",range_m,velocity_mps"
-        rows = [
-            r + [geometry.bin_to_range(r[0]), geometry.bin_to_velocity(r[1])]
-            for r in rows
-        ]
-    arr = np.array(rows, dtype=float) if rows else np.empty((0, len(header.split(","))))
-    fmt = ["%d", "%d"] + ["%.10g"] * (len(header.split(",")) - 2)
-    np.savetxt(path, arr, delimiter=",", header=header, comments="", fmt=fmt)

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kan import KanModel, forward
-from .rdmap import (
-    RDMap,
-    SEGMENT_SHAPE,
-    extract_segment,
-    histogram_feature,
-    segment_half,
-    segment_histogram_map,
-)
+from .rdmap import RDMap, SEGMENT_SHAPE, extract_segment, segment_half, segment_histogram_map
 from .symbolic import DecisionRule, rule_scores
 
 NMS_IOU_THRESHOLD = 0.40
@@ -70,24 +63,6 @@ def iou(box_a, box_b) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def _classifier_margins(classifier, X) -> np.ndarray:
-    if isinstance(classifier, DecisionRule):
-        scores = rule_scores(classifier, X)
-    elif isinstance(classifier, KanModel):
-        scores = forward(classifier, X)
-    else:
-        raise TypeError(f"cannot classify with {type(classifier).__name__}")
-    return scores[:, 1] - scores[:, 0]
-
-
-def _classifier_m_bins(classifier) -> int:
-    if isinstance(classifier, DecisionRule):
-        return classifier.m_bins
-    if isinstance(classifier, KanModel):
-        return classifier.n_in
-    raise TypeError(f"cannot classify with {type(classifier).__name__}")
-
-
 @dataclass
 class SweepResult:
     centers: np.ndarray      # (n, 2) int
@@ -100,11 +75,19 @@ class SweepResult:
         return np.flatnonzero((self.margins > min_margin) & ~self.degenerate)
 
 
-def sweep_classify(rd: RDMap, classifier, shape=SEGMENT_SHAPE, stride: int = 1) -> SweepResult:
-    centers, X, degenerate = segment_histogram_map(rd, _classifier_m_bins(classifier), shape, stride)
+def sweep_classify(rd: RDMap, classifier) -> SweepResult:
+    """Score every full segment position; margins are h1 - h0."""
+    if isinstance(classifier, DecisionRule):
+        score = rule_scores
+    elif isinstance(classifier, KanModel):
+        score = forward
+    else:
+        raise TypeError(f"cannot classify with {type(classifier).__name__}")
+    centers, X, degenerate = segment_histogram_map(rd, classifier.n_in)
+    scores = score(classifier, X)
     return SweepResult(
         centers=centers,
-        margins=_classifier_margins(classifier, X),
+        margins=scores[:, 1] - scores[:, 0],
         degenerate=degenerate,
         n_tested=len(centers),
     )
@@ -143,40 +126,30 @@ def nms(detections, iou_threshold: float = NMS_IOU_THRESHOLD) -> list:
     return kept
 
 
-def detect(
-    rd: RDMap,
-    classifier,
-    shape=SEGMENT_SHAPE,
-    stride: int = 1,
-    iou_threshold: float = NMS_IOU_THRESHOLD,
-    max_recenter: int = 5,
-    min_margin: float | None = None,
-) -> list:
+def detect(rd: RDMap, classifier, min_margin: float | None = None) -> list:
     """Full sweep -> recenter -> dedupe -> suppress chain.
 
     min_margin=None picks the calibrated map-level floor for shipped
     rules (MAP_MARGIN_FLOORS) and 0.0 otherwise; pass an explicit value
-    to override.
+    to override.  Recentering keeps every center inside the map, so each
+    final center is a sweep position and keeps that position's margin.
     """
     if min_margin is None:
         name = classifier.name if isinstance(classifier, DecisionRule) else None
         min_margin = MAP_MARGIN_FLOORS.get(name, 0.0)
-    sweep = sweep_classify(rd, classifier, shape, stride)
+    sweep = sweep_classify(rd, classifier)
     hit_counts: dict = {}
     for i in sweep.hits(min_margin):
-        final = recenter(rd, tuple(sweep.centers[i]), shape, max_recenter)
+        final = recenter(rd, tuple(sweep.centers[i]))
         hit_counts[final] = hit_counts.get(final, 0) + 1
-    if not hit_counts:
-        return []
 
-    m_bins = _classifier_m_bins(classifier)
+    hr, hd = segment_half()
+    n_d = rd.power.shape[1] - 2 * hd
     detections = []
     for (r, d), count in hit_counts.items():
-        feat = histogram_feature(extract_segment(rd, (r, d), shape), m_bins)
-        if feat.degenerate:
-            continue
-        margin = float(_classifier_margins(classifier, feat.histogram[None])[0])
-        if margin <= 0.0:
+        i = (r - hr) * n_d + (d - hd)
+        margin = float(sweep.margins[i])
+        if sweep.degenerate[i] or margin <= 0.0:
             # recentering walked onto a segment the classifier itself rejects
             continue
         detections.append(
@@ -185,11 +158,11 @@ def detect(
                 doppler_bin=d,
                 margin=margin,
                 peak_power=float(rd.power[r, d]),
-                bbox=bbox_around((r, d), shape),
+                bbox=bbox_around((r, d)),
                 n_sweep_hits=count,
             )
         )
-    return nms(detections, iou_threshold)
+    return nms(detections)
 
 
 def segment_detections_to_csv(path, detections, geometry=None) -> None:

@@ -370,6 +370,8 @@ def load_cube(path) -> IfDataCube:
         data = np.frombuffer(f.read(), dtype="<c8")
     if data.size != n * l:
         raise ValueError(f"{path}: expected {n * l} samples, found {data.size}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite IF samples")
     config = RadarConfig(f0=f0, slope=slope, t_cri=t_cri, fs=fs, n_samples=n, n_chirps=l)
     samples = data.reshape(n, l).astype(np.complex128)
     return IfDataCube(samples=samples, config=config, noise_sigma=sigma)

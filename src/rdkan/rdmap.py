@@ -80,71 +80,58 @@ def extract_segment(rd, center, shape=SEGMENT_SHAPE) -> np.ndarray:
 
 @dataclass
 class SegmentFeature:
-    center: tuple[int, int] | None
     m_bins: int
     histogram: np.ndarray     # (m_bins,) heights, sums to 1
     degenerate: bool          # constant segment, all mass forced to bin 0
-    cells: np.ndarray | None = None
 
 
-def _bin_edges(m_bins):
-    return np.linspace(0.0, 1.0, m_bins + 1)
-
-
-def histogram_feature(cells, m_bins, center=None, keep_cells=False) -> SegmentFeature:
-    """Min-max normalized histogram of a cell block.
+def _bin_rows(rows, m_bins):
+    """Min-max normalized histograms of the rows of an (n, cells) array.
 
     Bins are [i/M, (i+1)/M), closed on the left, with the final bin closed
-    on both sides so 1.0 lands in it.  A constant block cannot be
+    on both sides so 1.0 lands in it.  A constant row cannot be
     normalized; it gets all mass in bin 0 and a degenerate flag.
+    Returns (X (n, m_bins) float, degenerate (n,) bool).
     """
-    cells = np.asarray(cells, dtype=float)
-    if cells.size == 0:
+    n, n_cells = rows.shape
+    if n_cells == 0:
         raise SegmentError("empty cell block")
     if m_bins < 2:
         raise SegmentError(f"m_bins must be >= 2, got {m_bins}")
-    flat = cells.ravel()
-    lo, hi = flat.min(), flat.max()
-    heights = np.zeros(m_bins)
-    if hi == lo:
-        heights[0] = 1.0
-        return SegmentFeature(center, m_bins, heights, True, cells if keep_cells else None)
-    norm = (flat - lo) / (hi - lo)
-    idx = np.searchsorted(_bin_edges(m_bins), norm, side="right") - 1
+    lo = rows.min(axis=1)
+    span = rows.max(axis=1) - lo
+    degenerate = span == 0
+    norm = (rows - lo[:, None]) / np.where(degenerate, 1.0, span)[:, None]
+    idx = np.searchsorted(np.linspace(0.0, 1.0, m_bins + 1), norm, side="right") - 1
     np.clip(idx, 0, m_bins - 1, out=idx)
-    counts = np.bincount(idx, minlength=m_bins)
-    heights = counts / flat.size
-    return SegmentFeature(center, m_bins, heights, False, cells if keep_cells else None)
+    idx += (np.arange(n) * m_bins)[:, None]
+    X = np.bincount(idx.ravel(), minlength=n * m_bins).reshape(n, m_bins) / n_cells
+    X[degenerate] = 0.0
+    X[degenerate, 0] = 1.0
+    return X, degenerate
 
 
-def segment_histogram_map(rd, m_bins, shape=SEGMENT_SHAPE, stride=1):
+def histogram_feature(cells, m_bins) -> SegmentFeature:
+    """Min-max normalized histogram of one cell block (see _bin_rows)."""
+    X, degenerate = _bin_rows(np.asarray(cells, dtype=float).reshape(1, -1), m_bins)
+    return SegmentFeature(m_bins, X[0], bool(degenerate[0]))
+
+
+def segment_histogram_map(rd, m_bins, shape=SEGMENT_SHAPE):
     """Histograms of every full segment position, vectorized.
 
     Returns (centers (n, 2) int, X (n, m_bins) float, degenerate (n,) bool)
-    where centers run over all positions whose segment fits in the map,
-    row-major, subsampled by stride along both axes.
+    where centers run row-major over all positions whose segment fits in
+    the map.
     """
     power = _as_power(rd)
     hr, hd = segment_half(shape)
     if power.shape[0] < shape[0] or power.shape[1] < shape[1]:
         raise SegmentError(f"map {power.shape} smaller than segment {shape}")
-    win = sliding_window_view(power, shape)[::stride, ::stride]
+    win = sliding_window_view(power, shape)
     n_r, n_d = win.shape[:2]
-    flat = win.reshape(n_r * n_d, shape[0] * shape[1])
-    lo = flat.min(axis=1)
-    hi = flat.max(axis=1)
-    span = hi - lo
-    degenerate = span == 0
-    safe = np.where(degenerate, 1.0, span)
-    norm = (flat - lo[:, None]) / safe[:, None]
-    idx = np.searchsorted(_bin_edges(m_bins), norm.ravel(), side="right") - 1
-    np.clip(idx, 0, m_bins - 1, out=idx)
-    rows = np.repeat(np.arange(flat.shape[0]), flat.shape[1])
-    counts = np.bincount(rows * m_bins + idx, minlength=flat.shape[0] * m_bins)
-    X = counts.reshape(flat.shape[0], m_bins) / flat.shape[1]
-    X[degenerate] = 0.0
-    X[degenerate, 0] = 1.0
-    rr, dd = np.meshgrid(np.arange(n_r) * stride + hr, np.arange(n_d) * stride + hd, indexing="ij")
+    X, degenerate = _bin_rows(win.reshape(n_r * n_d, shape[0] * shape[1]), m_bins)
+    rr, dd = np.meshgrid(np.arange(n_r) + hr, np.arange(n_d) + hd, indexing="ij")
     centers = np.stack([rr.ravel(), dd.ravel()], axis=1)
     return centers, X, degenerate
 
@@ -189,22 +176,3 @@ def load_rd_map(base_path) -> RDMap:
     )
     return RDMap(power=power.reshape(n, l).astype(np.float64), geometry=geometry)
 
-
-def histograms_to_csv(path, centers, X, labels) -> None:
-    X = np.asarray(X)
-    m = X.shape[1]
-    header = "range_bin,doppler_bin," + ",".join(f"x{i}" for i in range(m)) + ",label"
-    body = np.column_stack([np.asarray(centers, dtype=float), X, np.asarray(labels, dtype=float)])
-    fmt = ["%d", "%d"] + ["%.10g"] * m + ["%d"]
-    np.savetxt(path, body, delimiter=",", header=header, comments="", fmt=fmt)
-
-
-def histograms_from_csv(path):
-    """Returns (centers (n,2) int, X (n,M) float, labels (n,) int)."""
-    body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if body.shape[1] < 4:
-        raise ValueError(f"{path}: expected at least 4 columns, got {body.shape[1]}")
-    centers = body[:, :2].astype(int)
-    X = body[:, 2:-1]
-    labels = body[:, -1].astype(int)
-    return centers, X, labels

@@ -26,6 +26,9 @@ from .kan import KanModel, bspline_design, edge_value, silu
 
 TERM_KINDS = ("const", "linear", "quadratic", "exp", "silu", "spline")
 
+# parameter count per term kind, see Term
+_N_PARAMS = {"const": 1, "linear": 2, "quadratic": 3, "exp": 4, "silu": 4, "spline": 0}
+
 # simpler shapes win ties during snapping
 _COMPLEXITY = {"const": 0, "linear": 1, "quadratic": 2, "silu": 3, "exp": 3, "spline": 9}
 
@@ -368,11 +371,26 @@ def load_rule(path) -> DecisionRule:
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != "rdkan-rule-v1":
         raise RuleError(f"{path}: not a rule file")
-    exprs = tuple(
-        SymbolicExpr(terms=tuple(_term_from_doc(t) for t in e["terms"]), bias=float(e["bias"]))
-        for e in doc["exprs"]
-    )
-    return DecisionRule(doc["name"], int(doc["m_bins"]), exprs, doc.get("meta", {}))
+    try:
+        m_bins = int(doc["m_bins"])
+        exprs = tuple(
+            SymbolicExpr(terms=tuple(_term_from_doc(t) for t in e["terms"]), bias=float(e["bias"]))
+            for e in doc["exprs"]
+        )
+        name = doc["name"]
+    except (KeyError, TypeError) as err:
+        raise RuleError(f"{path}: malformed rule: {err!r}") from None
+    if len(exprs) != 2:
+        raise RuleError(f"{path}: expected 2 exprs (h0, h1), found {len(exprs)}")
+    for term in (t for e in exprs for t in e.terms):
+        if not 0 <= term.input < m_bins:
+            raise RuleError(f"{path}: term input {term.input} outside 0..{m_bins - 1}")
+        if len(term.params) != _N_PARAMS[term.kind]:
+            raise RuleError(f"{path}: {term.kind} term on x{term.input} needs "
+                            f"{_N_PARAMS[term.kind]} params, got {len(term.params)}")
+        if term.kind == "spline" and not (term.knots and term.coeffs):
+            raise RuleError(f"{path}: spline term on x{term.input} lacks knots or coeffs")
+    return DecisionRule(name, m_bins, exprs, doc.get("meta", {}))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 
 from rdkan.cli import EXIT_FAILURE, EXIT_USAGE, main
 from rdkan.kan import load_model
-from rdkan.radarsim import load_cube
-from rdkan.symbolic import load_rule
+from rdkan.radarsim import load_cube, save_cube
+from rdkan.symbolic import builtin_rule, load_rule, save_rule
 
 
 def run(capsys, *argv):
@@ -118,6 +118,35 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
         assert "available" in err
+
+    @pytest.mark.parametrize("defect", ["input-out-of-range", "one-expr", "spline-without-knots"])
+    def test_malformed_rule_is_failure(self, defect, tmp_path, capsys):
+        cube_path = tmp_path / "c.bin"
+        assert run(capsys, "simulate", "--out", str(cube_path), "--seed", "0")[0] == 0
+        rule_path = tmp_path / "rule.json"
+        save_rule(rule_path, builtin_rule("paper-eq7-m10"))
+        doc = json.loads(rule_path.read_text())
+        if defect == "input-out-of-range":
+            doc["exprs"][1]["terms"][0]["input"] = 12
+        elif defect == "one-expr":
+            doc["exprs"] = doc["exprs"][:1]
+        else:
+            doc["exprs"][0]["terms"][0] = {"kind": "spline", "input": 0, "params": []}
+        rule_path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "detect", "--cube", str(cube_path), "--classifier", str(rule_path))
+        assert code == EXIT_FAILURE
+        assert err.startswith("error:")
+
+    def test_non_finite_cube_is_failure(self, tmp_path, capsys):
+        cube_path = tmp_path / "c.bin"
+        assert run(capsys, "simulate", "--out", str(cube_path), "--seed", "0")[0] == 0
+        cube = load_cube(cube_path)
+        cube.samples[5, 5] = np.nan
+        save_cube(cube_path, cube)
+        code, out, err = run(capsys, "detect", "--cube", str(cube_path))
+        assert code == EXIT_FAILURE
+        assert "non-finite" in err
+        assert "detection(s)" not in out
 
     def test_wrong_checkpoint_format_is_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -13,7 +13,6 @@ from rdkan.kan import (
     bspline_design,
     bspline_design_deriv,
     edge_activations,
-    edge_derivative,
     edge_value,
     fine_tune,
     fit,
@@ -26,7 +25,6 @@ from rdkan.kan import (
     prune,
     save_model,
     silu,
-    silu_deriv,
     uniform_knots,
     update_grids,
 )
@@ -50,12 +48,6 @@ class TestSilu:
         assert silu(0.0) == 0.0
         assert silu(10.0) == pytest.approx(10.0, rel=1e-3)
         assert silu(-10.0) == pytest.approx(0.0, abs=1e-3)
-
-    def test_derivative_finite_difference(self):
-        x = np.linspace(-4, 4, 33)
-        h = 1e-6
-        fd = (silu(x + h) - silu(x - h)) / (2 * h)
-        assert np.allclose(silu_deriv(x), fd, atol=1e-8)
 
 
 class TestBsplineBasis:
@@ -116,14 +108,6 @@ class TestModelEvaluation:
             for r in range(3):
                 assert np.allclose(act[:, q, r], edge_value(model, q, r, X[:, r]))
         assert np.allclose(forward(model, X), act.sum(axis=2))
-
-    def test_edge_derivative_finite_difference(self, rng):
-        model = init_model(2, rng)
-        x = rng.uniform(0.05, 0.95, 30)
-        h = 1e-6
-        for q in range(2):
-            fd = (edge_value(model, q, 1, x + h) - edge_value(model, q, 1, x - h)) / (2 * h)
-            assert np.allclose(edge_derivative(model, q, 1, x), fd, atol=1e-6)
 
     def test_mask_zeroes_edges(self, rng):
         model = init_model(3, rng)

@@ -1,4 +1,4 @@
-"""OS-CFAR: exact false-alarm algebra, order statistics, detection behavior."""
+"""OS-CFAR: exact false-alarm algebra, order statistics, fire-map behavior."""
 
 import math
 
@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from rdkan.oscfar import (
-    CutDetection,
     OsCfarConfig,
     default_k_rank,
-    detections_to_csv,
     empirical_false_alarm_rate,
     make_os_cfar_config,
     order_statistic_map,
-    os_cfar_detect,
     os_cfar_fire_map,
     os_cfar_pfa,
     reference_columns,
@@ -132,46 +129,43 @@ class TestOrderStatistics:
             order_statistic_map(rng.exponential(1.0, (32, 32)), (5, 3), (1, 1), 7)
 
 
+def fired_cells(power, cfg):
+    """(range_bin, doppler_bin) of every firing CUT, row-major."""
+    fires, offset = os_cfar_fire_map(power, cfg)
+    return [tuple(int(v) for v in rc) for rc in np.argwhere(fires) + offset]
+
+
 class TestDetect:
     def test_planted_spike_detected(self, rng):
         power = rng.exponential(1.0, (64, 32))
         power[30, 16] = 1e6
         cfg = make_os_cfar_config(1e-4, window=(5, 3), guard=(1, 1))
-        dets = os_cfar_detect(power, cfg)
-        assert any(d.range_bin == 30 and d.doppler_bin == 16 for d in dets)
-        d = next(d for d in dets if d.range_bin == 30)
-        assert d.power == 1e6 and d.power > d.threshold
+        fires, (hr, hd) = os_cfar_fire_map(power, cfg)
+        assert fires[30 - hr, 16 - hd]
+        os_values, _ = order_statistic_map(power, cfg.window, cfg.guard, cfg.k_rank)
+        assert cfg.alpha * os_values[30 - hr, 16 - hd] < 1e6
 
     def test_spike_does_not_raise_own_threshold(self):
         power = np.ones((64, 32))
         power[30, 16] = 100.0
         cfg = make_os_cfar_config(1e-3, window=(5, 3), guard=(1, 1))
-        dets = os_cfar_detect(power, cfg)
         # CUT and guard ring are excluded from the reference set, so the
         # spike is compared against the flat floor only.
-        assert [(d.range_bin, d.doppler_bin) for d in dets] == [(30, 16)]
+        assert fired_cells(power, cfg) == [(30, 16)]
 
     def test_threshold_is_strict(self):
         cfg = OsCfarConfig(window=(5, 3), guard=(1, 1), k_rank=4, alpha=1.0)
-        assert os_cfar_detect(np.ones((20, 10)), cfg) == []
+        assert fired_cells(np.ones((20, 10)), cfg) == []
 
     def test_edges_never_tested(self, rng):
         power = rng.exponential(0.001, (64, 32))
         power[0, 0] = 1e9
         power[63, 31] = 1e9
         cfg = make_os_cfar_config(1e-3)  # 17x7 window: 8/3 margins
-        for d in os_cfar_detect(power, cfg):
-            assert 8 <= d.range_bin <= 55 and 3 <= d.doppler_bin <= 28
-
-    def test_fire_map_agrees_with_detect(self, rng):
-        power = rng.exponential(1.0, (64, 32))
-        power[20, 10] = 1e5
-        cfg = make_os_cfar_config(1e-3, window=(5, 3), guard=(1, 1))
-        dets = os_cfar_detect(power, cfg)
-        fires, (hr, hd) = os_cfar_fire_map(power, cfg)
-        assert fires.sum() == len(dets)
-        for d in dets:
-            assert fires[d.range_bin - hr, d.doppler_bin - hd]
+        fires, offset = os_cfar_fire_map(power, cfg)
+        assert fires.shape == (64 - 16, 32 - 6) and offset == (8, 3)
+        for r, d in fired_cells(power, cfg):
+            assert 8 <= r <= 55 and 3 <= d <= 28
 
     def test_fire_map_reuses_sort(self, rng):
         power = rng.exponential(1.0, (64, 32))
@@ -196,24 +190,3 @@ class TestEmpiricalRates:
         b = make_os_cfar_config(1e-2, window=(7, 3), guard=(1, 1))
         with pytest.raises(ValueError, match="share"):
             empirical_false_alarm_rate([a, b], 1e4, seed=0)
-
-
-class TestCsv:
-    def test_with_and_without_geometry(self, tmp_path, geometry):
-        dets = [CutDetection(100, 70, 5.5, 2.2), CutDetection(40, 60, 9.0, 3.0)]
-        plain = tmp_path / "d.csv"
-        detections_to_csv(plain, dets)
-        lines = plain.read_text().strip().splitlines()
-        assert lines[0] == "range_bin,doppler_bin,power,threshold"
-        assert len(lines) == 3
-        rich = tmp_path / "g.csv"
-        detections_to_csv(rich, dets, geometry=geometry)
-        header = rich.read_text().splitlines()[0]
-        assert header.endswith("range_m,velocity_mps")
-        row = rich.read_text().splitlines()[1].split(",")
-        assert float(row[4]) == pytest.approx(100 * geometry.range_res)
-
-    def test_empty(self, tmp_path):
-        path = tmp_path / "none.csv"
-        detections_to_csv(path, [])
-        assert path.read_text().strip() == "range_bin,doppler_bin,power,threshold"

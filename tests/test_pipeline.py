@@ -168,6 +168,24 @@ class TestDetect:
         rd = compute_rd_map(synth_if_cube(scene, config, snr_db=20.0, rng=rng), window="hann")
         assert detect(rd, builtin_rule("paper-eq7-m10"), min_margin=1e9) == []
 
+    @pytest.mark.parametrize("kind", ["rule", "kan"])
+    def test_margin_is_the_score_at_the_final_center(self, kind, config):
+        # the sweep's margin at a detection's center equals a fresh
+        # one-segment score there, bit for bit
+        rng = np.random.default_rng(5)
+        if kind == "rule":
+            classifier, score = builtin_rule("paper-eq7-m10"), rule_scores
+        else:
+            classifier, score = init_model(10, rng), forward
+        scene = [sample_target(rng, r_m, v, "front") for r_m, v in ((30.0, -4.0), (55.0, 6.0))]
+        rd = compute_rd_map(synth_if_cube(scene, config, snr_db=20.0, rng=rng), window="hann")
+        dets = detect(rd, classifier)
+        assert dets
+        for det in dets:
+            feat = histogram_feature(extract_segment(rd, det.center), 10)
+            s = score(classifier, feat.histogram[None])[0]
+            assert det.margin == s[1] - s[0]
+
     def test_floor_table_has_shipped_rule(self):
         assert MAP_MARGIN_FLOORS["paper-eq7-m10"] > 0.0
 

@@ -1,7 +1,12 @@
 """RD map formation and histogram features against brute-force oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rdkan.radarsim import IfDataCube, RadarConfig, synth_if_cube
 from rdkan.rdmap import (
@@ -10,8 +15,6 @@ from rdkan.rdmap import (
     compute_rd_map,
     extract_segment,
     histogram_feature,
-    histograms_from_csv,
-    histograms_to_csv,
     load_rd_map,
     save_rd_map,
     segment_half,
@@ -141,13 +144,6 @@ class TestHistogramFeature:
         b = histogram_feature(cells * 7.5 + 100.0, 10).histogram
         assert np.allclose(a, b)
 
-    def test_keep_cells_and_center(self, rng):
-        cells = rng.exponential(1.0, SEGMENT_SHAPE)
-        feat = histogram_feature(cells, 5, center=(30, 40), keep_cells=True)
-        assert feat.center == (30, 40)
-        assert np.array_equal(feat.cells, cells)
-        assert histogram_feature(cells, 5).cells is None
-
     def test_input_validation(self):
         with pytest.raises(SegmentError):
             histogram_feature(np.array([]), 10)
@@ -155,17 +151,73 @@ class TestHistogramFeature:
             histogram_feature(np.ones(5), 1)
 
 
+def exact_bin(v, m_bins):
+    """Bin of a normalized value, floor(v*M) in exact rational arithmetic."""
+    return min(int(Fraction(float(v)) * m_bins), m_bins - 1)
+
+
+class TestBinEdges:
+    @pytest.mark.parametrize("m_bins", [5, 10])
+    def test_one_ulp_either_side_of_every_edge(self, m_bins):
+        # Each interior edge k/M has two candidate doubles: the one nearest
+        # k/M and numpy's linspace edge.  Test both and one ulp either side.
+        # Float floor(v*M), the convention of gate 10's brute scan, puts the
+        # double just below 3/5, 3/10, 6/10, 7/10 and 9/10 one bin too high,
+        # so the oracle here is exact rational arithmetic.
+        values = set()
+        for k in range(1, m_bins):
+            for edge in (k / m_bins, np.linspace(0.0, 1.0, m_bins + 1)[k]):
+                values.update({np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)})
+        for v in sorted(values):
+            # cells 0 and 1 make the min-max normalization the identity
+            block = np.full(SEGMENT_SHAPE, v)
+            block[0, :2] = 0.0, 1.0
+            want = np.bincount([exact_bin(c, m_bins) for c in block.ravel()], minlength=m_bins)
+            want = want / block.size
+            assert np.array_equal(histogram_feature(block, m_bins).histogram, want), v
+            _, X, _ = segment_histogram_map(block, m_bins)
+            assert np.array_equal(X[0], want), v
+
+
+# non-negative power cells; 0 or at least 1e-3 so that scaling by 2^k for
+# |k| <= 20 never reaches the subnormal range and stays exact
+cell_values = st.one_of(st.just(0.0), st.floats(1e-3, 1e6))
+
+
+class TestHistogramProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(cells=arrays(np.float64, SEGMENT_SHAPE, elements=cell_values),
+           m_bins=st.integers(2, 12))
+    def test_sums_to_one(self, cells, m_bins):
+        assert histogram_feature(cells, m_bins).histogram.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(cells=arrays(np.float64, SEGMENT_SHAPE, elements=cell_values),
+           m_bins=st.integers(2, 12), k=st.integers(-20, 20))
+    def test_power_of_two_scaling_is_exact(self, cells, m_bins, k):
+        a = histogram_feature(cells, m_bins)
+        b = histogram_feature(cells * 2.0**k, m_bins)
+        assert np.array_equal(a.histogram, b.histogram)
+        assert a.degenerate == b.degenerate
+
+    @settings(max_examples=25, deadline=None)
+    @given(power=arrays(np.float64, st.tuples(st.integers(17, 22), st.integers(7, 10)),
+                        elements=cell_values),
+           m_bins=st.integers(2, 12))
+    def test_map_rows_equal_segment_features(self, power, m_bins):
+        centers, X, degen = segment_histogram_map(power, m_bins)
+        for i, center in enumerate(centers):
+            feat = histogram_feature(extract_segment(power, center), m_bins)
+            assert np.array_equal(X[i], feat.histogram)
+            assert degen[i] == feat.degenerate
+
+
 class TestSegmentHistogramMap:
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_matches_per_position_features(self, stride, rng):
+    def test_matches_per_position_features(self, rng):
         power = rng.exponential(1.0, (25, 13))
-        centers, X, degen = segment_histogram_map(power, 10, stride=stride)
+        centers, X, degen = segment_histogram_map(power, 10)
         hr, hd = segment_half()
-        expect_centers = [
-            (r, d)
-            for r in range(hr, 25 - hr, stride)
-            for d in range(hd, 13 - hd, stride)
-        ]
+        expect_centers = [(r, d) for r in range(hr, 25 - hr) for d in range(hd, 13 - hd)]
         assert [tuple(c) for c in centers] == expect_centers
         for i, (r, d) in enumerate(expect_centers):
             feat = histogram_feature(extract_segment(power, (r, d)), 10)
@@ -216,20 +268,3 @@ class TestSerialization:
         base.with_suffix(".bin").write_bytes(data[:-4])
         with pytest.raises(ValueError, match="cells"):
             load_rd_map(base)
-
-    def test_histogram_csv_round_trip(self, tmp_path, rng):
-        centers = rng.integers(8, 100, (20, 2))
-        X = rng.dirichlet(np.ones(10), 20)
-        labels = rng.integers(0, 2, 20)
-        path = tmp_path / "features.csv"
-        histograms_to_csv(path, centers, X, labels)
-        c2, x2, l2 = histograms_from_csv(path)
-        assert np.array_equal(c2, centers)
-        assert np.array_equal(l2, labels)
-        assert np.allclose(x2, X, atol=1e-9)
-
-    def test_histogram_csv_column_check(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="columns"):
-            histograms_from_csv(path)

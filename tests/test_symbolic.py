@@ -1,5 +1,6 @@
 """Symbolic rules: term algebra, edge snapping, decay rates, shipped rules."""
 
+import json
 import math
 
 import numpy as np
@@ -261,6 +262,35 @@ class TestSerialization:
         path = tmp_path / "nope.json"
         path.write_text('{"format": "rdkan-checkpoint-v1"}')
         with pytest.raises(RuleError, match="rule file"):
+            load_rule(path)
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("input-out-of-range", "outside 0..9"),
+            ("one-expr", "expected 2 exprs"),
+            ("spline-without-knots", "lacks knots or coeffs"),
+            ("short-params", "needs 2 params"),
+            ("missing-terms", "malformed"),
+        ],
+    )
+    def test_rejects_malformed_rule(self, defect, message, tmp_path):
+        path = tmp_path / "rule.json"
+        save_rule(path, builtin_rule("paper-eq7-m10"))
+        doc = json.loads(path.read_text())
+        terms = doc["exprs"][0]["terms"]
+        if defect == "input-out-of-range":
+            terms[0]["input"] = 12
+        elif defect == "one-expr":
+            doc["exprs"] = doc["exprs"][:1]
+        elif defect == "spline-without-knots":
+            terms[0] = {"kind": "spline", "input": 0, "params": []}
+        elif defect == "short-params":
+            terms[0]["params"] = terms[0]["params"][:1]
+        else:
+            del doc["exprs"][0]["terms"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RuleError, match=message):
             load_rule(path)
 
     def test_text_rendering(self):
