@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .radarsim import RadarConfig, derive_geometry, sample_target, synth_if_cube
-from .rdmap import SEGMENT_SHAPE, compute_rd_map, histogram_feature, extract_segment, segment_half
+from .rdmap import SEGMENT_HALF, SEGMENT_SHAPE, compute_rd_map, extract_segment, histogram_feature
 
 # Worst in-scenario target (85 m, band-floor RCS) sits at ~18 dB over this
 # floor after range compression; the median target is near 33 dB.
@@ -75,11 +75,11 @@ def sample_scene(scenario: TargetScenario, rng: np.random.Generator) -> list:
     return [target]
 
 
-def noise_tile_centers(map_shape=(256, 128), shape=SEGMENT_SHAPE) -> np.ndarray:
+def noise_tile_centers(map_shape=(256, 128)) -> np.ndarray:
     """Centers of a disjoint segment tiling of the map interior."""
-    hr, hd = segment_half(shape)
-    rows = np.arange(hr, map_shape[0] - hr, shape[0])
-    cols = np.arange(hd, map_shape[1] - hd, shape[1])
+    hr, hd = SEGMENT_HALF
+    rows = np.arange(hr, map_shape[0] - hr, SEGMENT_SHAPE[0])
+    cols = np.arange(hd, map_shape[1] - hd, SEGMENT_SHAPE[1])
     return np.array([(r, d) for r in rows for d in cols])
 
 
@@ -90,7 +90,7 @@ def _map_segments(scenario, m_bins, rng, config, geometry, n_per_class, window):
     cube = synth_if_cube(scene, config, noise_sigma=scenario.noise_sigma, rng=rng)
     rd = compute_rd_map(cube, window=window)
 
-    hr, hd = segment_half(SEGMENT_SHAPE)
+    hr, hd = SEGMENT_HALF
     tc = (geometry.range_to_bin(target.range_m), geometry.velocity_to_bin(target.velocity_mps))
     tx = []
     for dr, dd in TARGET_OFFSETS[: n_per_class]:

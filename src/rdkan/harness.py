@@ -4,7 +4,10 @@ Detectors are addressed by id ("kan:paper-eq7-m10", "oscfar:1e-3") and
 scored on identical maps: each trial draws one scene and one unit noise
 field, then every SNR point and every detector sees the same data with
 only the noise scale changing.  Differences between detectors are never
-due to luck of the draw.
+due to luck of the draw.  Each detector scores one whole map per call,
+trial(rd, gt_box, os_memo) -> (hit, n_false, n_tested); os_memo is a
+per-map dict through which CFAR detectors that share (window, guard,
+k_rank) reuse one sort of the reference cells.
 
 Scoring is asymmetric by design.  The sweep classifier outputs boxes,
 so a trial counts as detected when its boxes cover at least half of the
@@ -32,7 +35,7 @@ from .oscfar import (
     order_statistic_map,
     os_cfar_fire_map,
 )
-from .pipeline import MAP_MARGIN_FLOORS, detect, sweep_classify
+from .pipeline import detect, sweep_classify
 from .radarsim import (
     IfDataCube,
     RadarConfig,
@@ -56,17 +59,29 @@ class DetectorError(ValueError):
 @dataclass
 class KanDetector:
     classifier: object                  # DecisionRule or KanModel
-    min_margin: float | None = None     # None: calibrated floor by rule name
     id: str = ""
 
-    def run(self, rd: RDMap) -> list:
-        return detect(rd, self.classifier, min_margin=self.min_margin)
+    def trial(self, rd: RDMap, gt_box, os_memo) -> tuple:
+        """Sweep at the calibrated margin floor; every segment position is tested."""
+        hit, n_false = score_kan_trial(detect(rd, self.classifier), gt_box)
+        n_r, n_d = rd.power.shape
+        return hit, n_false, (n_r - SEGMENT_SHAPE[0] + 1) * (n_d - SEGMENT_SHAPE[1] + 1)
 
 
 @dataclass
 class OsCfarDetector:
     config: OsCfarConfig
     id: str = ""
+
+    def trial(self, rd: RDMap, gt_box, os_memo) -> tuple:
+        """Fire map scored against the truth box; every interior CUT is tested."""
+        c = self.config
+        key = (c.window, c.guard, c.k_rank)
+        if key not in os_memo:
+            os_memo[key], _ = order_statistic_map(rd.power, *key)
+        fires, offset = os_cfar_fire_map(rd.power, c, os_values=os_memo[key])
+        hit, n_false = score_oscfar_trial(fires, offset, gt_box)
+        return hit, n_false, fires.size
 
 
 def detector_from_id(detector_id: str):
@@ -89,15 +104,15 @@ def detector_from_id(detector_id: str):
 # ground truth and scoring
 
 
-def ground_truth_box(target, geometry, dilate: int = GT_DILATION_BINS, map_shape=(256, 128)):
-    """Bin box (r0, r1, d0, d1) around the target's actual scatterers."""
+def ground_truth_box(target, geometry, map_shape=(256, 128)):
+    """Bin box (r0, r1, d0, d1) around the scatterers, GT_DILATION_BINS wider per side."""
     dr, dv, _, _ = target.scatterer_arrays()
     ranges = target.range_m + dr
     vels = target.velocity_mps + dv
-    r0 = geometry.range_to_bin(ranges.min()) - dilate
-    r1 = geometry.range_to_bin(ranges.max()) + dilate
-    d0 = geometry.velocity_to_bin(vels.min()) - dilate
-    d1 = geometry.velocity_to_bin(vels.max()) + dilate
+    r0 = geometry.range_to_bin(ranges.min()) - GT_DILATION_BINS
+    r1 = geometry.range_to_bin(ranges.max()) + GT_DILATION_BINS
+    d0 = geometry.velocity_to_bin(vels.min()) - GT_DILATION_BINS
+    d1 = geometry.velocity_to_bin(vels.max()) + GT_DILATION_BINS
     return (max(r0, 0), min(r1, map_shape[0] - 1), max(d0, 0), min(d1, map_shape[1] - 1))
 
 
@@ -204,27 +219,19 @@ def run_monte_carlo(
     seed: int = 0,
     scenario: TargetScenario = IN_DISTRIBUTION,
     config: RadarConfig | None = None,
-    window: str | None = "hann",
     progress=None,
 ) -> EvalReport:
-    """Common-random-numbers sweep over SNR for a set of detector ids."""
+    """Common-random-numbers sweep over SNR on Hann-windowed maps; detector_ids
+    holds ids or detector objects (anything with a trial method)."""
     config = config or RadarConfig()
     geometry = derive_geometry(config)
-    detectors = [detector_from_id(d) if isinstance(d, str) else d for d in detector_ids]
+    detectors = [d if hasattr(d, "trial") else detector_from_id(d) for d in detector_ids]
     ids = [getattr(d, "id", None) or str(i) for i, d in enumerate(detectors)]
     snr_grid_db = list(snr_grid_db)
-
-    # CFAR detectors sharing (window, guard, k) reuse one sort per map
-    cfar = [(i, d) for i, d in enumerate(detectors) if isinstance(d, OsCfarDetector)]
-    cfar_key = None
-    if cfar:
-        keys = {(d.config.window, d.config.guard, d.config.k_rank) for _, d in cfar}
-        cfar_key = keys.pop() if len(keys) == 1 else None
 
     hits = np.zeros((len(detectors), len(snr_grid_db)), dtype=np.int64)
     falses = np.zeros_like(hits)
     tested = np.zeros_like(hits)
-    n_segments = (config.n_samples - SEGMENT_SHAPE[0] + 1) * (config.n_chirps - SEGMENT_SHAPE[1] + 1)
 
     trial_seeds = np.random.SeedSequence(seed).spawn(n_trials)
     for t in range(n_trials):
@@ -238,24 +245,13 @@ def run_monte_carlo(
         for j, snr in enumerate(snr_grid_db):
             sigma = sigma_for_snr(clean, config, snr, peak=peak)
             cube = IfDataCube(samples=clean + sigma * unit, config=config, noise_sigma=sigma)
-            rd = compute_rd_map(cube, window=window)
-
-            shared_os = None
-            if cfar_key is not None:
-                shared_os, _ = order_statistic_map(rd.power, *cfar_key)
-
+            rd = compute_rd_map(cube, window="hann")
+            os_memo: dict = {}
             for i, det in enumerate(detectors):
-                if isinstance(det, OsCfarDetector):
-                    os_vals = shared_os if cfar_key is not None else None
-                    fires, off = os_cfar_fire_map(rd.power, det.config, os_values=os_vals)
-                    hit, n_false = score_oscfar_trial(fires, off, gt)
-                    tested[i, j] += fires.size
-                else:
-                    dets = det.run(rd)
-                    hit, n_false = score_kan_trial(dets, gt)
-                    tested[i, j] += n_segments
+                hit, n_false, n_tested = det.trial(rd, gt, os_memo)
                 hits[i, j] += hit
                 falses[i, j] += n_false
+                tested[i, j] += n_tested
         if progress is not None:
             progress(t + 1, n_trials)
 

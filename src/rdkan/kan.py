@@ -235,7 +235,6 @@ class TrainOptions:
     l1: float = 8e-3             # activation sparsity weight
     memory: int = 10             # L-BFGS history
     max_restarts: int = 3
-    coeff_std: float = 0.1
 
 
 @dataclass
@@ -535,16 +534,32 @@ def save_model(path, model: KanModel) -> None:
 
 
 def load_model(path) -> KanModel:
+    """Read a checkpoint; a missing key, n_out other than 2 (H0 and H1
+    logits), an array shaped unlike n_in, n_out, order and grid_count
+    imply, or a non-finite value raises ValueError."""
     doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "rdkan-checkpoint-v1":
+    if not isinstance(doc, dict) or doc.get("format") != "rdkan-checkpoint-v1":
         raise ValueError(f"{path}: not a model checkpoint")
-    return KanModel(
-        knots=np.asarray(doc["knots"], dtype=float),
-        coeffs=np.asarray(doc["coeffs"], dtype=float),
-        base_scale=np.asarray(doc["base_scale"], dtype=float),
-        spline_scale=np.asarray(doc["spline_scale"], dtype=float),
-        edge_mask=np.asarray(doc["edge_mask"], dtype=bool),
-        order=int(doc["order"]),
-        grid_count=int(doc["grid_count"]),
-        meta=doc.get("meta", {}),
-    )
+    sizes = ("order", "grid_count", "n_in", "n_out")
+    try:
+        order, grid_count, n_in, n_out = (doc[k] for k in sizes)
+        arrays = {k: np.asarray(doc[k], dtype=float)
+                  for k in ("knots", "coeffs", "base_scale", "spline_scale", "edge_mask")}
+    except KeyError as err:
+        raise ValueError(f"{path}: checkpoint lacks {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: non-numeric checkpoint array: {err}") from None
+    if n_out != 2 or not all(type(v) is int and v >= 1 for v in (order, grid_count, n_in)):
+        raise ValueError(f"{path}: order, grid_count and n_in must be positive integers, n_out 2")
+    edge = (n_out, n_in)
+    want = {"knots": (n_in, grid_count + 2 * order + 1), "coeffs": edge + (grid_count + order,),
+            "base_scale": edge, "spline_scale": edge, "edge_mask": edge}
+    for key, values in arrays.items():
+        if values.shape != want[key]:
+            raise ValueError(f"{path}: {key} has shape {values.shape}, expected {want[key]}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{path}: {key} has non-finite values")
+    if not np.all(np.diff(arrays["knots"], axis=1) > 0):
+        raise ValueError(f"{path}: knots must increase along each row")
+    return KanModel(edge_mask=arrays.pop("edge_mask") != 0, order=order, grid_count=grid_count,
+                    meta=doc.get("meta", {}), **arrays)

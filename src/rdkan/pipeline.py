@@ -14,12 +14,14 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kan import KanModel, forward
-from .rdmap import RDMap, SEGMENT_SHAPE, extract_segment, segment_half, segment_histogram_map
+from .rdmap import RDMap, SEGMENT_HALF, SEGMENT_SHAPE, SegmentError, segment_histogram_map
 from .symbolic import DecisionRule, rule_scores
 
 NMS_IOU_THRESHOLD = 0.40
+RECENTER_STEPS = 5
 
 # A full sweep tests ~3e4 segments per 256x128 map, so map-level detection
 # needs a stiffer operating point than the per-segment rule boundary.  These
@@ -43,8 +45,8 @@ class SegmentDetection:
         return (self.range_bin, self.doppler_bin)
 
 
-def bbox_around(center, shape=SEGMENT_SHAPE) -> tuple:
-    hr, hd = segment_half(shape)
+def bbox_around(center) -> tuple:
+    hr, hd = SEGMENT_HALF
     r, d = center
     return (r - hr, r + hr, d - hd, d + hd)
 
@@ -93,35 +95,41 @@ def sweep_classify(rd: RDMap, classifier) -> SweepResult:
     )
 
 
-def recenter(rd: RDMap, center, shape=SEGMENT_SHAPE, max_iters: int = 5) -> tuple:
-    """Walk the segment center onto the local power peak.
+def recenter(rd: RDMap, centers) -> np.ndarray:
+    """Walk each segment center onto its local power peak.
 
-    Each step jumps to the strongest cell of the current segment (first
-    in row-major order on ties), clamped so the segment stays inside the
-    map, and only if that cell is strictly stronger than the current
-    center.  Converges in a few steps for any unimodal neighborhood.
+    centers is an (n, 2) array of (range_bin, doppler_bin); returns the
+    (n, 2) final centers.  Each step jumps to the strongest cell of the
+    current segment (first in row-major order on ties), clamped so the
+    segment stays inside the map, and only if that cell is strictly
+    stronger than the current center.  A center that stops moving is
+    done; the rest take at most RECENTER_STEPS steps.
     """
-    hr, hd = segment_half(shape)
-    n_r, n_d = rd.power.shape
-    r, d = int(center[0]), int(center[1])
-    for _ in range(max_iters):
-        seg = extract_segment(rd, (r, d), shape)
-        flat = int(np.argmax(seg))
-        pr, pd = r - hr + flat // shape[1], d - hd + flat % shape[1]
-        pr = min(max(pr, hr), n_r - hr - 1)
-        pd = min(max(pd, hd), n_d - hd - 1)
-        if (pr, pd) == (r, d) or rd.power[pr, pd] <= rd.power[r, d]:
-            break
-        r, d = pr, pd
-    return (r, d)
+    power = rd.power
+    hr, hd = SEGMENT_HALF
+    n_r, n_d = power.shape
+    cur = np.array(centers, dtype=np.intp).reshape(-1, 2)
+    if np.any((cur < SEGMENT_HALF) | (cur >= (n_r - hr, n_d - hd))):
+        raise SegmentError(f"center too close to the map edge for a {SEGMENT_SHAPE} segment")
+    windows = sliding_window_view(power, SEGMENT_SHAPE)
+    walking = np.arange(len(cur))
+    for _ in range(RECENTER_STEPS):
+        r, d = cur[walking, 0], cur[walking, 1]
+        flat = windows[r - hr, d - hd].reshape(-1, np.prod(SEGMENT_SHAPE)).argmax(axis=1)
+        pr = np.clip(r - hr + flat // SEGMENT_SHAPE[1], hr, n_r - hr - 1)
+        pd = np.clip(d - hd + flat % SEGMENT_SHAPE[1], hd, n_d - hd - 1)
+        moves = power[pr, pd] > power[r, d]
+        walking = walking[moves]
+        cur[walking, 0], cur[walking, 1] = pr[moves], pd[moves]
+    return cur
 
 
-def nms(detections, iou_threshold: float = NMS_IOU_THRESHOLD) -> list:
-    """Greedy suppression, strongest peak first; row-major center on ties."""
+def nms(detections) -> list:
+    """Greedy suppression at NMS_IOU_THRESHOLD, strongest peak first; row-major center on ties."""
     ordered = sorted(detections, key=lambda t: (-t.peak_power, t.range_bin, t.doppler_bin))
     kept: list = []
     for det in ordered:
-        if all(iou(det.bbox, k.bbox) <= iou_threshold for k in kept):
+        if all(iou(det.bbox, k.bbox) <= NMS_IOU_THRESHOLD for k in kept):
             kept.append(det)
     return kept
 
@@ -138,30 +146,17 @@ def detect(rd: RDMap, classifier, min_margin: float | None = None) -> list:
         name = classifier.name if isinstance(classifier, DecisionRule) else None
         min_margin = MAP_MARGIN_FLOORS.get(name, 0.0)
     sweep = sweep_classify(rd, classifier)
-    hit_counts: dict = {}
-    for i in sweep.hits(min_margin):
-        final = recenter(rd, tuple(sweep.centers[i]))
-        hit_counts[final] = hit_counts.get(final, 0) + 1
+    finals = recenter(rd, sweep.centers[sweep.hits(min_margin)])
+    finals, counts = np.unique(finals, axis=0, return_counts=True)
 
-    hr, hd = segment_half()
-    n_d = rd.power.shape[1] - 2 * hd
-    detections = []
-    for (r, d), count in hit_counts.items():
-        i = (r - hr) * n_d + (d - hd)
-        margin = float(sweep.margins[i])
-        if sweep.degenerate[i] or margin <= 0.0:
-            # recentering walked onto a segment the classifier itself rejects
-            continue
-        detections.append(
-            SegmentDetection(
-                range_bin=r,
-                doppler_bin=d,
-                margin=margin,
-                peak_power=float(rd.power[r, d]),
-                bbox=bbox_around((r, d)),
-                n_sweep_hits=count,
-            )
-        )
+    hr, hd = SEGMENT_HALF
+    index = (finals[:, 0] - hr) * (rd.power.shape[1] - 2 * hd) + (finals[:, 1] - hd)
+    # recentering may walk onto a segment the classifier itself rejects
+    keep = ~sweep.degenerate[index] & (sweep.margins[index] > 0.0)
+    detections = [
+        SegmentDetection(r, d, float(sweep.margins[i]), float(rd.power[r, d]), bbox_around((r, d)), n)
+        for (r, d), i, n in zip(finals[keep].tolist(), index[keep].tolist(), counts[keep].tolist())
+    ]
     return nms(detections)
 
 

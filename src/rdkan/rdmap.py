@@ -19,6 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from rdkan.radarsim import IfDataCube, MapGeometry, derive_geometry
 
 SEGMENT_SHAPE = (17, 7)  # range bins x Doppler bins, about 5.98 m x 2.13 m/s
+SEGMENT_HALF = (SEGMENT_SHAPE[0] // 2, SEGMENT_SHAPE[1] // 2)
 
 
 class SegmentError(ValueError):
@@ -54,25 +55,18 @@ def compute_rd_map(cube: IfDataCube, window: str | None = None) -> RDMap:
     return RDMap(power=power, geometry=derive_geometry(cube.config))
 
 
-def segment_half(shape=SEGMENT_SHAPE):
-    hr, hd = shape[0] // 2, shape[1] // 2
-    if shape[0] % 2 == 0 or shape[1] % 2 == 0 or shape[0] < 3 or shape[1] < 3:
-        raise SegmentError(f"segment shape must be odd and >= 3 per axis, got {shape}")
-    return hr, hd
-
-
 def _as_power(m):
     return m.power if isinstance(m, RDMap) else np.asarray(m)
 
 
-def extract_segment(rd, center, shape=SEGMENT_SHAPE) -> np.ndarray:
-    """Copy of the shape block centered on (range_bin, doppler_bin)."""
+def extract_segment(rd, center) -> np.ndarray:
+    """Copy of the segment centered on (range_bin, doppler_bin)."""
     power = _as_power(rd)
-    hr, hd = segment_half(shape)
+    hr, hd = SEGMENT_HALF
     r, d = int(center[0]), int(center[1])
     if not (hr <= r < power.shape[0] - hr and hd <= d < power.shape[1] - hd):
         raise SegmentError(
-            f"center {center} too close to the map edge for a {shape} segment "
+            f"center {center} too close to the map edge for a {SEGMENT_SHAPE} segment "
             f"on a {power.shape} map"
         )
     return power[r - hr:r + hr + 1, d - hd:d + hd + 1].copy()
@@ -105,9 +99,8 @@ def _bin_rows(rows, m_bins):
     idx = np.searchsorted(np.linspace(0.0, 1.0, m_bins + 1), norm, side="right") - 1
     np.clip(idx, 0, m_bins - 1, out=idx)
     idx += (np.arange(n) * m_bins)[:, None]
+    # a constant row normalizes to all zeros, so its mass is already in bin 0
     X = np.bincount(idx.ravel(), minlength=n * m_bins).reshape(n, m_bins) / n_cells
-    X[degenerate] = 0.0
-    X[degenerate, 0] = 1.0
     return X, degenerate
 
 
@@ -117,7 +110,7 @@ def histogram_feature(cells, m_bins) -> SegmentFeature:
     return SegmentFeature(m_bins, X[0], bool(degenerate[0]))
 
 
-def segment_histogram_map(rd, m_bins, shape=SEGMENT_SHAPE):
+def segment_histogram_map(rd, m_bins):
     """Histograms of every full segment position, vectorized.
 
     Returns (centers (n, 2) int, X (n, m_bins) float, degenerate (n,) bool)
@@ -125,12 +118,12 @@ def segment_histogram_map(rd, m_bins, shape=SEGMENT_SHAPE):
     the map.
     """
     power = _as_power(rd)
-    hr, hd = segment_half(shape)
-    if power.shape[0] < shape[0] or power.shape[1] < shape[1]:
-        raise SegmentError(f"map {power.shape} smaller than segment {shape}")
-    win = sliding_window_view(power, shape)
+    hr, hd = SEGMENT_HALF
+    if power.shape[0] < SEGMENT_SHAPE[0] or power.shape[1] < SEGMENT_SHAPE[1]:
+        raise SegmentError(f"map {power.shape} smaller than segment {SEGMENT_SHAPE}")
+    win = sliding_window_view(power, SEGMENT_SHAPE)
     n_r, n_d = win.shape[:2]
-    X, degenerate = _bin_rows(win.reshape(n_r * n_d, shape[0] * shape[1]), m_bins)
+    X, degenerate = _bin_rows(win.reshape(n_r * n_d, -1), m_bins)
     rr, dd = np.meshgrid(np.arange(n_r) + hr, np.arange(n_d) + hd, indexing="ij")
     centers = np.stack([rr.ravel(), dd.ravel()], axis=1)
     return centers, X, degenerate

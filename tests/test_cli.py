@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rdkan.cli import EXIT_FAILURE, EXIT_USAGE, main
-from rdkan.kan import load_model
+from rdkan.kan import init_model, load_model, save_model
 from rdkan.radarsim import load_cube, save_cube
 from rdkan.symbolic import builtin_rule, load_rule, save_rule
 
@@ -136,6 +136,25 @@ class TestExitCodes:
         code, _, err = run(capsys, "detect", "--cube", str(cube_path), "--classifier", str(rule_path))
         assert code == EXIT_FAILURE
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("defect", ["no-base-scale", "one-row-edge-mask", "null-base-scale"])
+    def test_malformed_checkpoint_is_failure(self, defect, tmp_path, capsys):
+        cube_path = tmp_path / "c.bin"
+        assert run(capsys, "simulate", "--out", str(cube_path), "--seed", "0")[0] == 0
+        model_path = tmp_path / "model.json"
+        save_model(model_path, init_model(10, np.random.default_rng(0)))
+        doc = json.loads(model_path.read_text())
+        if defect == "no-base-scale":
+            del doc["base_scale"]
+        elif defect == "one-row-edge-mask":
+            doc["edge_mask"] = doc["edge_mask"][:1]
+        else:
+            doc["base_scale"][0][0] = None
+        model_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "detect", "--cube", str(cube_path), "--classifier", str(model_path))
+        assert code == EXIT_FAILURE
+        assert err.startswith("error:")
+        assert "detection(s)" not in out
 
     def test_non_finite_cube_is_failure(self, tmp_path, capsys):
         cube_path = tmp_path / "c.bin"

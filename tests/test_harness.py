@@ -19,8 +19,10 @@ from rdkan.harness import (
     score_oscfar_trial,
     sweep_runtime_scaling,
 )
+from rdkan.oscfar import make_os_cfar_config
 from rdkan.pipeline import SegmentDetection, bbox_around
 from rdkan.radarsim import ExtendedTarget, Scatterer
+from rdkan.rdmap import RDMap
 from rdkan.symbolic import DecisionRule
 
 
@@ -108,6 +110,34 @@ class TestTrialScoring:
         assert not hit and n_false == 1
 
 
+def mixed_detectors():
+    """A rule, a 17x7 CFAR and a 9x5 CFAR: two keys in the sort memo."""
+    return [
+        detector_from_id("kan:paper-eq7-m10"),
+        detector_from_id("oscfar:1e-3"),
+        OsCfarDetector(config=make_os_cfar_config(1e-3, window=(9, 5)), id="oscfar-9x5:1e-3"),
+    ]
+
+
+class TestTrialProtocol:
+    def test_one_tested_count_per_map(self, geometry, rng):
+        rd = RDMap(power=rng.exponential(1.0, (256, 128)), geometry=geometry)
+        gt = (100, 110, 60, 66)
+        counts = [det.trial(rd, gt, {})[2] for det in mixed_detectors()[:2]]
+        assert counts == [(256 - 16) * (128 - 6)] * 2
+
+    def test_cfar_sort_shared_per_key(self, geometry, rng):
+        rd = RDMap(power=rng.exponential(1.0, (64, 32)), geometry=geometry)
+        gt = (30, 34, 14, 18)
+        memo: dict = {}
+        strict = detector_from_id("oscfar:1e-4")
+        for det in mixed_detectors()[1:] + [strict]:
+            det.trial(rd, gt, memo)
+        assert sorted(key[0] for key in memo) == [(9, 5), (17, 7)]
+        # a memo filled by another alpha gives the same outcome as a fresh sort
+        assert strict.trial(rd, gt, memo) == strict.trial(rd, gt, {})
+
+
 class TestMonteCarlo:
     def test_small_sweep(self):
         report = run_monte_carlo(
@@ -121,6 +151,19 @@ class TestMonteCarlo:
         assert np.all(report.fa >= 0)
         kan_pd, _ = report.row("kan:paper-eq7-m10")
         assert kan_pd[1] == 1.0  # every 20 dB trial detected
+
+    def test_rows_independent_of_company_and_order(self):
+        # each detector's row is bit-identical whether it runs alone, with
+        # others sharing the map's sort memo, or in reversed order
+        kwargs = dict(snr_grid_db=[-5, 10], n_trials=2, seed=11)
+        mixed = run_monte_carlo(mixed_detectors(), **kwargs)
+        reversed_ = run_monte_carlo(mixed_detectors()[::-1], **kwargs)
+        for det in mixed_detectors():
+            alone = run_monte_carlo([det], **kwargs)
+            for report in (mixed, reversed_):
+                pd, fa = report.row(det.id)
+                assert pd.tobytes() == alone.pd[0].tobytes()
+                assert fa.tobytes() == alone.fa[0].tobytes()
 
     def test_common_random_numbers(self):
         kwargs = dict(snr_grid_db=[0], n_trials=3, seed=7)

@@ -1,5 +1,7 @@
 """Spline-edge network: basis algebra, analytic gradients, training recipes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -302,4 +304,51 @@ class TestCheckpoint:
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="checkpoint"):
+            load_model(path)
+
+    MALFORMED = {
+        "no-base-scale": "lacks 'base_scale'",
+        "no-order": "lacks 'order'",
+        "one-row-edge-mask": "edge_mask has shape",
+        "short-knots": "knots has shape",
+        "short-coeffs": "coeffs has shape",
+        "null-base-scale": "base_scale has non-finite",
+        "infinite-coeff": "coeffs has non-finite",
+        "string-in-spline-scale": "non-numeric",
+        "fractional-grid-count": "positive integers",
+        "one-output": "n_out 2",
+        "repeated-knot": "knots must increase",
+    }
+
+    @pytest.mark.parametrize("defect", MALFORMED)
+    def test_rejects_malformed(self, defect, tmp_path, rng):
+        path = tmp_path / "model.json"
+        save_model(path, init_model(3, rng))
+        doc = json.loads(path.read_text())
+        if defect == "no-base-scale":
+            del doc["base_scale"]
+        elif defect == "no-order":
+            del doc["order"]
+        elif defect == "one-row-edge-mask":
+            doc["edge_mask"] = doc["edge_mask"][:1]
+        elif defect == "short-knots":
+            doc["knots"] = [row[:-1] for row in doc["knots"]]
+        elif defect == "short-coeffs":
+            doc["coeffs"] = [[row[:-1] for row in q] for q in doc["coeffs"]]
+        elif defect == "null-base-scale":
+            doc["base_scale"][0][0] = None
+        elif defect == "infinite-coeff":
+            doc["coeffs"][1][2][0] = float("inf")
+        elif defect == "string-in-spline-scale":
+            doc["spline_scale"][0][1] = "one"
+        elif defect == "fractional-grid-count":
+            doc["grid_count"] = 3.5
+        elif defect == "one-output":
+            doc["n_out"] = 1
+            for key in ("coeffs", "base_scale", "spline_scale", "edge_mask"):
+                doc[key] = doc[key][:1]
+        else:
+            doc["knots"][2][4] = doc["knots"][2][3]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=self.MALFORMED[defect]):
             load_model(path)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rdkan.oscfar import (
     OsCfarConfig,
@@ -176,6 +179,23 @@ class TestDetect:
         fires_b, _ = os_cfar_fire_map(power, cfg_b, os_values=os_values)
         assert np.array_equal(fires_a, os_cfar_fire_map(power, cfg_a)[0])
         assert fires_b.sum() <= fires_a.sum()  # stricter pfa fires less
+
+
+# non-negative power cells; 0 or at least 1e-3 so that scaling by 2^k for
+# |k| <= 20 never reaches the subnormal range and stays exact
+cell_values = st.one_of(st.just(0.0), st.floats(1e-3, 1e6))
+
+
+class TestFireMapProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(power=arrays(np.float64, st.tuples(st.integers(5, 12), st.integers(3, 8)),
+                        elements=cell_values),
+           pfa=st.sampled_from([1e-1, 1e-2, 1e-4]), k=st.integers(-20, 20))
+    def test_power_of_two_scaling_is_exact(self, power, pfa, k):
+        cfg = make_os_cfar_config(pfa, window=(5, 3), guard=(1, 1))
+        fires, offset = os_cfar_fire_map(power, cfg)
+        scaled, scaled_offset = os_cfar_fire_map(power * 2.0**k, cfg)
+        assert np.array_equal(fires, scaled) and offset == scaled_offset
 
 
 class TestEmpiricalRates:

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdkan.kan import forward, init_model
 from rdkan.pipeline import (
     MAP_MARGIN_FLOORS,
     NMS_IOU_THRESHOLD,
+    RECENTER_STEPS,
     SegmentDetection,
     bbox_around,
     detect,
@@ -17,7 +20,15 @@ from rdkan.pipeline import (
     sweep_classify,
 )
 from rdkan.radarsim import MapGeometry, sample_target, synth_if_cube
-from rdkan.rdmap import RDMap, compute_rd_map, extract_segment, histogram_feature
+from rdkan.rdmap import (
+    SEGMENT_HALF,
+    SEGMENT_SHAPE,
+    RDMap,
+    SegmentError,
+    compute_rd_map,
+    extract_segment,
+    histogram_feature,
+)
 from rdkan.symbolic import builtin_rule, rule_scores
 
 
@@ -32,10 +43,26 @@ def det_at(r, d, peak):
     return SegmentDetection(r, d, margin=1.0, peak_power=peak, bbox=bbox_around((r, d)))
 
 
+def scalar_walk(power, center):
+    """One center at a time, the walk recenter vectorizes (test oracle)."""
+    hr, hd = SEGMENT_HALF
+    n_r, n_d = power.shape
+    r, d = center
+    for _ in range(RECENTER_STEPS):
+        seg = power[r - hr:r + hr + 1, d - hd:d + hd + 1]
+        flat = int(np.argmax(seg))
+        pr, pd = r - hr + flat // SEGMENT_SHAPE[1], d - hd + flat % SEGMENT_SHAPE[1]
+        pr = min(max(pr, hr), n_r - hr - 1)
+        pd = min(max(pd, hd), n_d - hd - 1)
+        if (pr, pd) == (r, d) or power[pr, pd] <= power[r, d]:
+            break
+        r, d = pr, pd
+    return (r, d)
+
+
 class TestBoxes:
     def test_bbox_around(self):
         assert bbox_around((100, 64)) == (92, 108, 61, 67)
-        assert bbox_around((5, 5), shape=(3, 3)) == (4, 6, 4, 6)
 
     def test_iou_identical_and_disjoint(self):
         a = bbox_around((50, 50))
@@ -61,30 +88,61 @@ class TestBoxes:
 class TestRecenter:
     def test_walks_up_a_cone(self):
         power = -(np.abs(np.arange(64)[:, None] - 30) + np.abs(np.arange(32)[None, :] - 16)).astype(float)
-        rd = as_rd(power)
-        assert recenter(rd, (22, 12)) == (30, 16)
-        assert recenter(rd, (30, 16)) == (30, 16)
+        finals = recenter(as_rd(power), [(22, 12), (30, 16)])
+        assert finals.tolist() == [[30, 16], [30, 16]]
 
     def test_tie_prefers_row_major_first(self):
         power = np.zeros((64, 32))
         power[28, 14] = 5.0
         power[32, 18] = 5.0
-        assert recenter(as_rd(power), (30, 16)) == (28, 14)
+        assert recenter(as_rd(power), [(30, 16)]).tolist() == [[28, 14]]
 
     def test_clamped_to_interior(self):
         power = np.zeros((64, 32))
         power[2, 1] = 100.0  # peak too close to the edge for a segment
-        assert recenter(as_rd(power), (8, 3)) == (8, 3)
+        assert recenter(as_rd(power), [(8, 3)]).tolist() == [[8, 3]]
 
     def test_plateau_stays_put(self):
-        assert recenter(as_rd(np.ones((64, 32))), (20, 10)) == (20, 10)
+        assert recenter(as_rd(np.ones((64, 32))), [(20, 10)]).tolist() == [[20, 10]]
 
     def test_iteration_cap(self):
-        # a long ramp cannot be climbed to the end in two hops
+        # each step climbs 8 rows of a long ramp (and moves to the first
+        # column of the row's ties), so the walk stops short of the top
         power = np.arange(200, dtype=float)[:, None] * np.ones(32)
-        rd = as_rd(power)
-        capped = recenter(rd, (8, 16), max_iters=2)
-        assert capped[0] < recenter(rd, (8, 16), max_iters=20)[0]
+        finals = recenter(as_rd(power), [(8, 16)])
+        assert finals.tolist() == [[8 + 8 * RECENTER_STEPS, 3]]
+        assert finals[0, 0] < 200 - 1 - SEGMENT_HALF[0]
+
+    def test_no_centers(self):
+        assert recenter(as_rd(np.ones((64, 32))), np.empty((0, 2), int)).shape == (0, 2)
+
+    @pytest.mark.parametrize("center", [(7, 10), (56, 10), (20, 2), (20, 29)])
+    def test_edge_center_rejected(self, center):
+        with pytest.raises(SegmentError, match="edge"):
+            recenter(as_rd(np.ones((64, 32))), [center])
+
+
+@st.composite
+def maps_and_centers(draw):
+    """Small-integer maps (plateaus, ties) tilted by an integer ramp (long
+    walks), with centers anywhere in the interior, edges included."""
+    n_r, n_d = draw(st.integers(17, 40)), draw(st.integers(7, 20))
+    cells = draw(st.lists(st.integers(0, 3), min_size=n_r * n_d, max_size=n_r * n_d))
+    tilt_r, tilt_d = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    power = (np.array(cells, dtype=float).reshape(n_r, n_d)
+             + tilt_r * np.arange(n_r)[:, None] + tilt_d * np.arange(n_d)[None, :])
+    hr, hd = SEGMENT_HALF
+    center = st.tuples(st.integers(hr, n_r - hr - 1), st.integers(hd, n_d - hd - 1))
+    return power, draw(st.lists(center, min_size=1, max_size=30))
+
+
+class TestRecenterProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(case=maps_and_centers())
+    def test_equals_scalar_walk(self, case):
+        power, centers = case
+        finals = recenter(as_rd(power), centers)
+        assert [tuple(f) for f in finals.tolist()] == [scalar_walk(power, c) for c in centers]
 
 
 class TestNms:
@@ -96,12 +154,15 @@ class TestNms:
         assert [(k.range_bin, k.doppler_bin) for k in kept] == [(50, 50), (59, 50)]
 
     def test_boundary_iou_is_kept(self):
-        # overlap exactly at the threshold passes (suppression is strict)
-        a = SegmentDetection(0, 0, 1.0, 5.0, bbox=(0, 6, 0, 1))
-        b = SegmentDetection(3, 0, 1.0, 4.0, bbox=(3, 9, 0, 1))
-        assert iou(a.bbox, b.bbox) == pytest.approx(0.4)
-        assert len(nms([a, b], iou_threshold=0.4)) == 2
-        assert len(nms([a, b], iou_threshold=0.39)) == 1
+        # overlap exactly at the threshold passes (suppression is strict);
+        # 17x7 boxes 3 Doppler bins apart share 68 of 170 cells
+        a = det_at(50, 50, peak=5.0)
+        at = det_at(50, 53, peak=4.0)
+        above = det_at(57, 50, peak=4.0)  # the next IoU up: 70 of 168 cells
+        assert iou(a.bbox, at.bbox) == NMS_IOU_THRESHOLD == 0.40
+        assert iou(a.bbox, above.bbox) == 70 / 168
+        assert len(nms([a, at])) == 2
+        assert len(nms([a, above])) == 1
 
     def test_tie_on_peak_prefers_row_major(self):
         a = det_at(53, 50, peak=7.0)
@@ -111,6 +172,35 @@ class TestNms:
 
     def test_empty(self):
         assert nms([]) == []
+
+
+detections = st.lists(
+    st.builds(det_at, st.integers(8, 60), st.integers(3, 30), st.integers(1, 4).map(float)),
+    max_size=25,
+)
+
+
+class TestNmsProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(dets=detections)
+    def test_idempotent(self, dets):
+        kept = nms(dets)
+        assert nms(kept) == kept
+
+    @settings(max_examples=100, deadline=None)
+    @given(dets=detections)
+    def test_kept_boxes_overlap_at_most_the_threshold(self, dets):
+        kept = nms(dets)
+        for i, a in enumerate(kept):
+            for b in kept[i + 1:]:
+                assert iou(a.bbox, b.bbox) <= NMS_IOU_THRESHOLD
+
+    @settings(max_examples=50, deadline=None)
+    @given(dets=detections, seed=st.integers(0, 2**32 - 1))
+    def test_input_order_does_not_matter(self, dets, seed):
+        shuffled = list(dets)
+        np.random.default_rng(seed).shuffle(shuffled)
+        assert nms(shuffled) == nms(dets)
 
 
 class TestSweep:

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from rdkan.radarsim import IfDataCube, RadarConfig, synth_if_cube
 from rdkan.rdmap import (
+    SEGMENT_HALF,
     SEGMENT_SHAPE,
     SegmentError,
     compute_rd_map,
@@ -17,7 +18,6 @@ from rdkan.rdmap import (
     histogram_feature,
     load_rd_map,
     save_rd_map,
-    segment_half,
     segment_histogram_map,
 )
 
@@ -88,13 +88,8 @@ class TestComputeRdMap:
 
 class TestSegments:
     def test_segment_half(self):
-        assert segment_half((17, 7)) == (8, 3)
-        assert segment_half((3, 3)) == (1, 1)
-
-    @pytest.mark.parametrize("shape", [(16, 7), (17, 6), (1, 7), (17, 1)])
-    def test_segment_half_rejects(self, shape):
-        with pytest.raises(SegmentError):
-            segment_half(shape)
+        assert SEGMENT_SHAPE == (17, 7)
+        assert SEGMENT_HALF == (8, 3)
 
     def test_extract_segment_is_a_copy(self, rng):
         power = rng.exponential(1.0, (40, 30))
@@ -216,7 +211,7 @@ class TestSegmentHistogramMap:
     def test_matches_per_position_features(self, rng):
         power = rng.exponential(1.0, (25, 13))
         centers, X, degen = segment_histogram_map(power, 10)
-        hr, hd = segment_half()
+        hr, hd = SEGMENT_HALF
         expect_centers = [(r, d) for r in range(hr, 25 - hr) for d in range(hd, 13 - hd)]
         assert [tuple(c) for c in centers] == expect_centers
         for i, (r, d) in enumerate(expect_centers):
