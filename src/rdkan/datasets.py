@@ -83,12 +83,12 @@ def noise_tile_centers(map_shape=(256, 128)) -> np.ndarray:
     return np.array([(r, d) for r in rows for d in cols])
 
 
-def _map_segments(scenario, m_bins, rng, config, geometry, n_per_class, window):
+def _map_segments(scenario, m_bins, rng, config, geometry, n_per_class):
     """One synthesized map -> (target_histograms, noise_histograms)."""
     scene = sample_scene(scenario, rng)
     target = scene[0]
     cube = synth_if_cube(scene, config, noise_sigma=scenario.noise_sigma, rng=rng)
-    rd = compute_rd_map(cube, window=window)
+    rd = compute_rd_map(cube, window="hann")
 
     hr, hd = SEGMENT_HALF
     tc = (geometry.range_to_bin(target.range_m), geometry.velocity_to_bin(target.velocity_mps))
@@ -118,7 +118,6 @@ def build_labeled_segments(
     m_bins: int,
     rng: np.random.Generator,
     config: RadarConfig | None = None,
-    window: str | None = "hann",
 ):
     """Balanced dataset of n_total histograms: (X, y), y=1 for target.
 
@@ -132,7 +131,7 @@ def build_labeled_segments(
     X, y = [], []
     while len(X) < n_total:
         n_pc = min(per_class_per_map, (n_total - len(X)) // 2)
-        tx, nx = _map_segments(scenario, m_bins, rng, config, geometry, n_pc, window)
+        tx, nx = _map_segments(scenario, m_bins, rng, config, geometry, n_pc)
         for t, n in zip(tx, nx):
             X.append(t)
             y.append(1)

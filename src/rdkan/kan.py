@@ -23,6 +23,19 @@ from scipy.optimize import minimize
 from scipy.special import expit
 
 
+# training and pruning constants
+GRID_PAD = 0.01             # grid margin beyond the data range, fraction of span
+GRID_REFIT_POINTS = 64      # samples for the least-squares re-fit onto a new grid
+STOP_TOL = 1e-7             # stop when the loss falls by less than this ...
+STOP_PATIENCE = 5           # ... over this many iterations
+LBFGS_MEMORY = 10
+MAX_RESTARTS = 3            # damped restarts after a non-finite loss
+PRUNE_ROUNDS = 3            # prune-refit rounds in fit_sparse
+DROP_ACC_SLACK = 1e-3       # accuracy fit_sparse may give up per dropped input
+PRUNE_NODE_THRESHOLD = 0.01
+PRUNE_EDGE_THRESHOLD = 0.03
+
+
 class TrainingError(RuntimeError):
     pass
 
@@ -138,29 +151,19 @@ class KanModel:
         )
 
 
-def init_model(
-    n_in: int,
-    rng: np.random.Generator,
-    n_out: int = 2,
-    order: int = 3,
-    grid_count: int = 3,
-    grid_range=(0.0, 1.0),
-    coeff_std: float = 0.1,
-) -> KanModel:
-    knots = np.tile(uniform_knots(grid_range[0], grid_range[1], grid_count, order), (n_in, 1))
-    coeffs = rng.normal(0.0, coeff_std, size=(n_out, n_in, grid_count + order))
+def init_model(n_in: int, rng: np.random.Generator, coeff_std: float = 0.1) -> KanModel:
+    """Untrained [n_in, 2] model: cubic splines on 3 intervals over [0, 1]."""
+    edges = (2, n_in)
     return KanModel(
-        knots=knots,
-        coeffs=coeffs,
-        base_scale=np.ones((n_out, n_in)),
-        spline_scale=np.ones((n_out, n_in)),
-        edge_mask=np.ones((n_out, n_in), dtype=bool),
-        order=order,
-        grid_count=grid_count,
+        knots=np.tile(uniform_knots(0.0, 1.0), (n_in, 1)),
+        coeffs=rng.normal(0.0, coeff_std, size=edges + (KanModel.grid_count + KanModel.order,)),
+        base_scale=np.ones(edges),
+        spline_scale=np.ones(edges),
+        edge_mask=np.ones(edges, dtype=bool),
     )
 
 
-def update_grids(model: KanModel, X, refit: bool = True, pad: float = 0.01, n_fit: int = 64) -> None:
+def update_grids(model: KanModel, X, refit: bool = True) -> None:
     """Re-anchor each input grid to the empirical [min, max] of the data.
 
     With refit=True the spline coefficients are least-squares re-fitted so
@@ -172,10 +175,10 @@ def update_grids(model: KanModel, X, refit: bool = True, pad: float = 0.01, n_fi
         if hi - lo < 1e-9:
             hi = lo + 1e-6
         span = hi - lo
-        lo, hi = lo - pad * span, hi + pad * span
+        lo, hi = lo - GRID_PAD * span, hi + GRID_PAD * span
         new_knots = uniform_knots(lo, hi, model.grid_count, model.order)
         if refit:
-            xs = np.linspace(lo, hi, n_fit)
+            xs = np.linspace(lo, hi, GRID_REFIT_POINTS)
             old_design = bspline_design(model.knots[r], xs, model.order)
             new_design = bspline_design(new_knots, xs, model.order)
             for q in range(model.n_out):
@@ -191,15 +194,21 @@ def _design_stack(model, X):
     )
 
 
+def _activations(model, X, design):
+    """(silu(X) (b, r), spline part (b, q, r), masked phi (b, q, r))."""
+    silu_x = silu(X)
+    spline = np.einsum("rbi,qri->bqr", design, model.coeffs)
+    act = model.base_scale[None] * silu_x[:, None, :] + model.spline_scale[None] * spline
+    return silu_x, spline, act * model.edge_mask[None]
+
+
 def edge_activations(model: KanModel, X) -> np.ndarray:
     """phi values per edge, (batch, n_out, n_in); masked edges are zero."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.n_in:
         raise ValueError(f"expected {model.n_in} inputs, got {X.shape[1]}")
-    design = _design_stack(model, X)                                # (r, b, i)
-    spline = np.einsum("rbi,qri->bqr", design, model.coeffs)
-    act = model.base_scale[None] * silu(X)[:, None, :] + model.spline_scale[None] * spline
-    return act * model.edge_mask[None]
+    return _activations(model, X, _design_stack(model, X))[2]
+
 
 def forward(model: KanModel, X) -> np.ndarray:
     """Hypothesis logits, (batch, n_out)."""
@@ -230,11 +239,7 @@ def accuracy(model: KanModel, X, y) -> float:
 class TrainOptions:
     max_iter: int = 200
     grid_refresh_at: int = 100   # one mid-training grid re-fit
-    tol: float = 1e-7            # stop when loss decrease < tol ...
-    patience: int = 5            # ... over this many iterations
     l1: float = 8e-3             # activation sparsity weight
-    memory: int = 10             # L-BFGS history
-    max_restarts: int = 3
 
 
 @dataclass
@@ -244,8 +249,6 @@ class TrainResult:
     train_accuracy: float
     val_accuracy: float | None
     n_iter: int
-    restarts: int
-    converged: bool
 
 
 def _pack(model):
@@ -276,10 +279,7 @@ def loss_and_grad(model: KanModel, X, y, l1: float = 0.0, sample_weight=None, de
 
     if design is None:
         design = _design_stack(model, X)                              # (r, b, i)
-    silu_x = silu(X)                                                  # (b, r)
-    spline = np.einsum("rbi,qri->bqr", design, model.coeffs)          # (b, q, r)
-    act = model.base_scale[None] * silu_x[:, None, :] + model.spline_scale[None] * spline
-    act = act * model.edge_mask[None]
+    silu_x, spline, act = _activations(model, X, design)
     logits = act.sum(axis=2)                                          # (b, q)
 
     zmax = logits.max(axis=1, keepdims=True)
@@ -326,8 +326,8 @@ def _run_lbfgs(model, X, y, opts, maxiter, sample_weight, history):
 
     def callback(theta):
         history.append(state["last_f"])
-        if len(history) > opts.patience:
-            if history[-opts.patience - 1] - history[-1] < opts.tol:
+        if len(history) > STOP_PATIENCE:
+            if history[-STOP_PATIENCE - 1] - history[-1] < STOP_TOL:
                 raise _Stop("converged")
 
     converged = False
@@ -338,7 +338,7 @@ def _run_lbfgs(model, X, y, opts, maxiter, sample_weight, history):
             jac=True,
             method="L-BFGS-B",
             callback=callback,
-            options={"maxiter": maxiter, "maxcor": opts.memory, "ftol": 0.0, "gtol": 1e-14},
+            options={"maxiter": maxiter, "maxcor": LBFGS_MEMORY, "ftol": 0.0, "gtol": 1e-14},
         )
     except _Stop as stop:
         if str(stop) == "diverged":
@@ -359,7 +359,7 @@ def fit(
 
     Grids are set to the empirical range of each input before training
     and re-fitted once mid-training.  A non-finite loss triggers a
-    restart from a damped re-initialization, at most max_restarts times.
+    restart from a damped re-initialization, at most MAX_RESTARTS times.
     """
     opts = options or TrainOptions()
     X = np.asarray(X, dtype=float)
@@ -379,7 +379,7 @@ def fit(
     init_base = model.base_scale.copy()
     init_spline = model.spline_scale.copy()
 
-    for attempt in range(opts.max_restarts + 1):
+    for attempt in range(MAX_RESTARTS + 1):
         try:
             update_grids(model, X, refit=attempt == 0 and bool(model.meta.get("trained")))
             history: list = []
@@ -387,12 +387,12 @@ def fit(
             converged = _run_lbfgs(model, X, y, opts, first, weight, history)
             if not converged and opts.max_iter > first:
                 update_grids(model, X, refit=True)
-                converged = _run_lbfgs(model, X, y, opts, opts.max_iter - first, weight, history)
+                _run_lbfgs(model, X, y, opts, opts.max_iter - first, weight, history)
             break
         except TrainingError:
-            if attempt == opts.max_restarts:
+            if attempt == MAX_RESTARTS:
                 raise TrainingError(
-                    f"loss stayed non-finite after {opts.max_restarts} damped restarts"
+                    f"loss stayed non-finite after {MAX_RESTARTS} damped restarts"
                 ) from None
             damp = 0.5 ** (attempt + 1)
             model.coeffs = init_coeffs * damp + rng.normal(0, 1e-3, init_coeffs.shape)
@@ -407,8 +407,6 @@ def fit(
         train_accuracy=accuracy(model, X, y),
         val_accuracy=val_acc,
         n_iter=len(history),
-        restarts=attempt,
-        converged=converged,
     )
 
 
@@ -417,8 +415,6 @@ def fit_sparse(
     X, y,
     X_val=None, y_val=None,
     options: TrainOptions | None = None,
-    max_rounds: int = 3,
-    acc_slack: float = 1e-3,
 ) -> TrainResult:
     """Deterministic train-prune-refit recipe yielding a sparse model.
 
@@ -428,7 +424,7 @@ def fit_sparse(
     After convergence, weak edges are pruned and the masked model is
     refit, repeating until the mask is stable.  Whole inputs are then
     dropped weakest-first for as long as accuracy (validation when
-    given) gives up at most acc_slack: the l1 penalty shrinks redundant
+    given) gives up at most DROP_ACC_SLACK: the l1 penalty shrinks redundant
     edges but rarely zeroes them outright, and a rule distilled from
     the model is only as sparse as the mask it inherits.  No randomness
     anywhere; rerunning on the same data reproduces the model bit for
@@ -436,7 +432,7 @@ def fit_sparse(
     """
     model = init_model(n_in, np.random.default_rng(0), coeff_std=0.0)
     result = fit(model, X, y, X_val, y_val, options)
-    for _ in range(max_rounds):
+    for _ in range(PRUNE_ROUNDS):
         pruned = prune(model, X)
         if (pruned.edge_mask == model.edge_mask).all():
             break
@@ -455,7 +451,7 @@ def fit_sparse(
         trial = result.model.copy()
         trial.edge_mask[:, weakest] = False
         candidate = fit(trial, X, y, X_val, y_val, options)
-        if _score(candidate) < _score(result) - acc_slack:
+        if _score(candidate) < _score(result) - DROP_ACC_SLACK:
             break
         result = candidate
     return result
@@ -488,25 +484,23 @@ def fine_tune(
 # pruning
 
 
-def prune(model: KanModel, X, node_threshold: float = 0.01, edge_threshold: float = 0.03) -> KanModel:
+def prune(model: KanModel, X) -> KanModel:
     """Drop edges whose mean |activation| is small relative to the layer max.
 
-    An input node goes entirely when its best edge is below node_threshold
-    or all its edges were removed.  The pruned model keeps the full
-    parameter arrays; removed edges are masked to exactly zero.
+    An input node goes entirely when its best edge is below
+    PRUNE_NODE_THRESHOLD or all its edges were removed; the strongest
+    edge always stays.  The pruned model keeps the full parameter arrays;
+    removed edges are masked to exactly zero.
     """
+    if not np.all(np.isfinite(X)):
+        raise PruneError("features must be finite")
     scores = np.abs(edge_activations(model, X)).mean(axis=0)   # (q, r)
     top = scores.max()
     if top <= 0:
         raise PruneError("all edge activations are zero")
     rel = scores / top
-    mask = model.edge_mask & (rel >= edge_threshold)
-    weak_nodes = rel.max(axis=0) < node_threshold
-    mask[:, weak_nodes] = False
-    if not mask.any():
-        raise PruneError(
-            f"thresholds node={node_threshold}, edge={edge_threshold} prune every edge"
-        )
+    mask = model.edge_mask & (rel >= PRUNE_EDGE_THRESHOLD)
+    mask[:, rel.max(axis=0) < PRUNE_NODE_THRESHOLD] = False
     out = model.copy()
     out.edge_mask = mask
     return out

@@ -20,6 +20,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from rdkan.rdmap import _as_power
 
+ALPHA_REL_TOL = 1e-10   # relative bracket width at which solve_alpha stops
+
 
 @dataclass(frozen=True)
 class OsCfarConfig:
@@ -59,12 +61,12 @@ def os_cfar_pfa(alpha: float, n_ref: int, k_rank: int) -> float:
     return float(np.exp(os_cfar_log_pfa(alpha, n_ref, k_rank)))
 
 
-def solve_alpha(pfa: float, n_ref: int = 104, k_rank: int = 78, rel_tol: float = 1e-10) -> float:
+def solve_alpha(pfa: float, n_ref: int = 104, k_rank: int = 78) -> float:
     """Scaling factor giving a design P_FA, via monotone bisection.
 
     P_FA(alpha) is continuous and strictly decreasing from 1 at alpha=0,
-    so the root is bracketed by doubling and bisected to rel_tol relative
-    width.
+    so the root is bracketed by doubling and bisected to ALPHA_REL_TOL
+    relative width.
     """
     if not 0.0 < pfa < 1.0:
         raise ValueError(f"pfa must be in (0, 1), got {pfa}")
@@ -76,7 +78,7 @@ def solve_alpha(pfa: float, n_ref: int = 104, k_rank: int = 78, rel_tol: float =
         lo, hi = hi, hi * 2.0
         if hi > 1e12:
             raise RuntimeError("alpha bracket blew up")
-    while hi - lo > rel_tol * hi:
+    while hi - lo > ALPHA_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if os_cfar_log_pfa(mid, n_ref, k_rank) > target:
             lo = mid

@@ -40,12 +40,15 @@ def compute_rd_map(cube: IfDataCube, window: str | None = None) -> RDMap:
     """2-D FFT power map of a dwell.
 
     window: None (default) or "hann", applied separably before the FFTs.
+    A non-finite sample would turn every cell into NaN: ValueError.
     """
     x = cube.samples
     n, l = x.shape
     if (n, l) != (cube.config.n_samples, cube.config.n_chirps):
         raise ValueError(f"cube samples {x.shape} disagree with config "
                          f"({cube.config.n_samples}, {cube.config.n_chirps})")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite IF samples")
     if window == "hann":
         x = x * np.hanning(n)[:, None] * np.hanning(l)[None, :]
     elif window is not None:
@@ -159,6 +162,8 @@ def load_rd_map(base_path) -> RDMap:
     n, l = meta["n_range"], meta["n_doppler"]
     if power.size != n * l:
         raise ValueError(f"{base}: expected {n * l} cells, found {power.size}")
+    if not np.all(np.isfinite(power)):
+        raise ValueError(f"{base}: non-finite cells")
     geometry = MapGeometry(
         range_res=meta["range_res_m"],
         vel_res=meta["vel_res_mps"],

@@ -18,22 +18,50 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .kan import KanModel, bspline_design, edge_value, silu
 
-TERM_KINDS = ("const", "linear", "quadratic", "exp", "silu", "spline")
-
-# parameter count per term kind, see Term
-_N_PARAMS = {"const": 1, "linear": 2, "quadratic": 3, "exp": 4, "silu": 4, "spline": 0}
-
-# simpler shapes win ties during snapping
-_COMPLEXITY = {"const": 0, "linear": 1, "quadratic": 2, "silu": 3, "exp": 3, "spline": 9}
-
 SNAP_R2_THRESHOLD = 0.9
 SNAP_R2_TIE = 1e-4
+SNAP_GRID_POINTS = 512     # samples per edge over its spline grid
+DECAY_MIN_MASS = 1e-6      # bins at or below this mass are left out of decay fits
+
+
+class _Kind(NamedTuple):
+    n_params: int
+    complexity: int        # simpler shapes win ties during snapping
+    value: Callable        # (term, x) -> term values at x
+    text: Callable         # (params, "x<input>") -> rendered term
+
+
+def _spline_value(term, x):
+    design = bspline_design(np.asarray(term.knots), np.atleast_1d(x))
+    return (design @ np.asarray(term.coeffs)).reshape(x.shape)
+
+
+def _fmt(v: float) -> str:
+    return f"{v:.6g}"
+
+
+# every term kind, parameter layouts as in Term
+_KINDS = {
+    "const": _Kind(1, 0, lambda t, x: np.full_like(x, t.params[0]), lambda p, x: _fmt(p[0])),
+    "linear": _Kind(2, 1, lambda t, x: t.params[0] * x + t.params[1],
+                    lambda p, x: f"{_fmt(p[0])}*{x} + {_fmt(p[1])}"),
+    "quadratic": _Kind(3, 2, lambda t, x: t.params[0] * x * x + t.params[1] * x + t.params[2],
+                       lambda p, x: f"{_fmt(p[0])}*{x}^2 + {_fmt(p[1])}*{x} + {_fmt(p[2])}"),
+    "exp": _Kind(4, 3, lambda t, x: t.params[0] * np.exp(t.params[1] * x + t.params[2]) + t.params[3],
+                 lambda p, x: f"{_fmt(p[0])}*exp({_fmt(p[1])}*{x} + {_fmt(p[2])}) + {_fmt(p[3])}"),
+    "silu": _Kind(4, 3, lambda t, x: t.params[0] * silu(t.params[1] * x + t.params[2]) + t.params[3],
+                  lambda p, x: f"{_fmt(p[0])}*silu({_fmt(p[1])}*{x} + {_fmt(p[2])}) + {_fmt(p[3])}"),
+    "spline": _Kind(0, 9, _spline_value, lambda p, x: f"spline({x})"),
+}
+
+TERM_KINDS = tuple(_KINDS)
 
 
 class RuleError(ValueError):
@@ -60,7 +88,7 @@ class Term:
     coeffs: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in TERM_KINDS:
+        if self.kind not in _KINDS:
             raise RuleError(f"unknown term kind {self.kind!r}")
 
 
@@ -83,20 +111,7 @@ class DecisionRule:
 
 
 def term_value(term: Term, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    p = term.params
-    if term.kind == "const":
-        return np.full_like(x, p[0])
-    if term.kind == "linear":
-        return p[0] * x + p[1]
-    if term.kind == "quadratic":
-        return p[0] * x * x + p[1] * x + p[2]
-    if term.kind == "exp":
-        return p[0] * np.exp(p[1] * x + p[2]) + p[3]
-    if term.kind == "silu":
-        return p[0] * silu(p[1] * x + p[2]) + p[3]
-    design = bspline_design(np.asarray(term.knots), np.atleast_1d(x))
-    return (design @ np.asarray(term.coeffs)).reshape(x.shape)
+    return _KINDS[term.kind].value(term, np.asarray(x, dtype=float))
 
 
 def expr_value(expr: SymbolicExpr, X) -> np.ndarray:
@@ -125,25 +140,24 @@ def is_fully_symbolic(rule: DecisionRule) -> bool:
     return all(t.kind != "spline" for e in rule.exprs for t in e.terms)
 
 
-def rule_crossover(rule: DecisionRule, input_index: int = 0, lo: float = 0.0, hi: float = 1.0) -> float:
-    """Value of one feature where the decision flips, all others at zero."""
+def rule_crossover(rule: DecisionRule) -> float:
+    """Value of x0 in [0, 1] where the decision flips, all others at zero."""
     def margin(v):
         x = np.zeros((1, rule.m_bins))
-        x[0, input_index] = v
+        x[0, 0] = v
         s = rule_scores(rule, x)[0]
         return s[1] - s[0]
 
-    m_lo, m_hi = margin(lo), margin(hi)
-    if m_lo * m_hi > 0:
-        raise RuleError(f"no decision flip in x{input_index} over [{lo}, {hi}]")
-    return float(brentq(margin, lo, hi, xtol=1e-12))
+    if margin(0.0) * margin(1.0) > 0:
+        raise RuleError("no decision flip in x0 over [0, 1]")
+    return float(brentq(margin, 0.0, 1.0, xtol=1e-12))
 
 
 # ---------------------------------------------------------------------------
 # decay-rate summary of histogram features
 
 
-def fit_decay_rates(histograms, min_mass: float = 1e-6):
+def fit_decay_rates(histograms):
     """Exponential decay rate of one histogram (or a batch, row-wise).
 
     Models bin heights as h_k proportional to exp(-lambda * k / M) and
@@ -155,7 +169,7 @@ def fit_decay_rates(histograms, min_mass: float = 1e-6):
     m = h.shape[1]
     rates = np.empty(h.shape[0])
     for i, row in enumerate(h):
-        keep = row > min_mass
+        keep = row > DECAY_MIN_MASS
         if keep.sum() < 2:
             rates[i] = np.inf
             continue
@@ -203,24 +217,27 @@ def _affine_ls(y, basis):
     return float(sol[0]), float(sol[1]), _r2(y, A @ sol)
 
 
-def _fit_exp(x, y):
-    span = x.max() - x.min()
-    x0 = float(x.mean())
+def _fit_shape(y, basis, starts, xatol):
+    """Best c*basis(*p) + d: grid search over starts, then a Nelder-Mead
+    refine of the winner; returns (c, p, d, r2), the grid winner if the
+    refine did worse."""
     best = None
-    rates = np.concatenate([-np.geomspace(0.1, 40.0, 25) / span, np.geomspace(0.1, 40.0, 25) / span])
-    for a in rates:
-        c, d, r2 = _affine_ls(y, np.exp(a * (x - x0)))
+    for p in starts:
+        c, d, r2 = _affine_ls(y, basis(*p))
         if best is None or r2 > best[3]:
-            best = (c, a, d, r2)
+            best = (c, p, d, r2)
+    res = minimize(lambda p: -_affine_ls(y, basis(*p))[2], best[1], method="Nelder-Mead",
+                   options={"xatol": xatol, "fatol": 1e-12})
+    p = tuple(float(v) for v in res.x)
+    c, d, r2 = _affine_ls(y, basis(*p))
+    return best if r2 < best[3] else (c, p, d, r2)
 
-    def neg_r2(a):
-        return -_affine_ls(y, np.exp(float(a[0]) * (x - x0)))[2]
 
-    res = minimize(neg_r2, [best[1]], method="Nelder-Mead", options={"xatol": 1e-6, "fatol": 1e-12})
-    a = float(res.x[0])
-    c, d, r2 = _affine_ls(y, np.exp(a * (x - x0)))
-    if r2 < best[3]:
-        c, a, d, r2 = best
+def _fit_exp(x, y):
+    x0 = float(x.mean())
+    rates = np.geomspace(0.1, 40.0, 25) / (x.max() - x.min())
+    c, (a,), d, r2 = _fit_shape(y, lambda a: np.exp(a * (x - x0)),
+                                [(r,) for r in np.concatenate([-rates, rates])], 1e-6)
     # fold the centering shift into the b parameter
     return ("exp", (c, a, -a * x0, d), r2)
 
@@ -229,27 +246,14 @@ def _fit_silu(x, y):
     span = x.max() - x.min()
     shifts = np.linspace(x.min() - 0.5 * span, x.max() + 0.5 * span, 17)
     scales = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]) / span
-    best = None
-    for a in np.concatenate([-scales, scales]):
-        for s in shifts:
-            c, d, r2 = _affine_ls(y, silu(a * (x - s)))
-            if best is None or r2 > best[3]:
-                best = (c, a, s, r2)
-
-    def neg_r2(p):
-        return -_affine_ls(y, silu(float(p[0]) * (x - float(p[1]))))[2]
-
-    res = minimize(neg_r2, [best[1], best[2]], method="Nelder-Mead",
-                   options={"xatol": 1e-7, "fatol": 1e-12})
-    a, s = float(res.x[0]), float(res.x[1])
-    c, d, r2 = _affine_ls(y, silu(a * (x - s)))
-    if r2 < best[3]:
-        c, a, s, r2 = best
+    grid = [(a, s) for a in np.concatenate([-scales, scales]) for s in shifts]
+    c, (a, s), d, r2 = _fit_shape(y, lambda a, s: silu(a * (x - s)), grid, 1e-7)
     return ("silu", (c, a, -a * s, d), r2)
 
 
 def snap_edge(x, y, input_index: int) -> tuple:
     """Best library term for samples (x, y); returns (Term, r2, symbolic)."""
+    # min() keeps the first of equally complex fits, so exp wins an exp/silu tie
     fits = [
         _fit_const(x, y),
         _fit_poly(x, y, 1),
@@ -261,11 +265,11 @@ def snap_edge(x, y, input_index: int) -> tuple:
     if best_r2 < SNAP_R2_THRESHOLD:
         return None, best_r2, False
     good = [f for f in fits if f[2] >= best_r2 - SNAP_R2_TIE]
-    kind, params, r2 = min(good, key=lambda f: _COMPLEXITY[f[0]])
+    kind, params, r2 = min(good, key=lambda f: _KINDS[f[0]].complexity)
     return Term(kind, input_index, params), r2, True
 
 
-def snap(model: KanModel, name: str, n_grid: int = 512) -> DecisionRule:
+def snap(model: KanModel, name: str) -> DecisionRule:
     """Distill a trained (typically pruned) model into a decision rule.
 
     Each unmasked edge is sampled on its spline grid and snapped
@@ -278,11 +282,11 @@ def snap(model: KanModel, name: str, n_grid: int = 512) -> DecisionRule:
         for r in np.flatnonzero(model.edge_mask[q]):
             lo = model.knots[r, model.order]
             hi = model.knots[r, -model.order - 1]
-            x = np.linspace(lo, hi, n_grid)
+            x = np.linspace(lo, hi, SNAP_GRID_POINTS)
             y = edge_value(model, q, int(r), x)
             term, r2, symbolic = snap_edge(x, y, int(r))
             if not symbolic:
-                term = _spline_term_from_edge(model, q, int(r))
+                term = _spline_term_from_edge(model, int(r), x, y)
             terms.append(term)
             edge_meta[f"h{q}.x{r}"] = {"kind": term.kind, "r2": round(r2, 6)}
         exprs.append(SymbolicExpr(terms=tuple(terms), bias=0.0))
@@ -292,13 +296,9 @@ def snap(model: KanModel, name: str, n_grid: int = 512) -> DecisionRule:
     return rule
 
 
-def _spline_term_from_edge(model: KanModel, q: int, r: int, n_grid: int = 512) -> Term:
-    """Sampled-spline fallback: refit the whole edge (base + spline part)
-    onto a plain B-spline so the term needs no silu component."""
-    lo = model.knots[r, model.order]
-    hi = model.knots[r, -model.order - 1]
-    x = np.linspace(lo, hi, n_grid)
-    y = edge_value(model, q, r, x)
+def _spline_term_from_edge(model: KanModel, r: int, x, y) -> Term:
+    """Sampled-spline fallback: refit the whole edge's samples (base +
+    spline part) onto a plain B-spline so the term needs no silu component."""
     design = bspline_design(model.knots[r], x, model.order)
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
     return Term("spline", r, knots=tuple(model.knots[r].tolist()),
@@ -309,24 +309,8 @@ def _spline_term_from_edge(model: KanModel, q: int, r: int, n_grid: int = 512) -
 # rendering and serialization
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
-
-
 def term_to_text(term: Term) -> str:
-    p = term.params
-    x = f"x{term.input}"
-    if term.kind == "const":
-        return _fmt(p[0])
-    if term.kind == "linear":
-        return f"{_fmt(p[0])}*{x} + {_fmt(p[1])}"
-    if term.kind == "quadratic":
-        return f"{_fmt(p[0])}*{x}^2 + {_fmt(p[1])}*{x} + {_fmt(p[2])}"
-    if term.kind == "exp":
-        return f"{_fmt(p[0])}*exp({_fmt(p[1])}*{x} + {_fmt(p[2])}) + {_fmt(p[3])}"
-    if term.kind == "silu":
-        return f"{_fmt(p[0])}*silu({_fmt(p[1])}*{x} + {_fmt(p[2])}) + {_fmt(p[3])}"
-    return f"spline({x})"
+    return _KINDS[term.kind].text(term.params, f"x{term.input}")
 
 
 def rule_to_text(rule: DecisionRule) -> str:
@@ -385,9 +369,9 @@ def load_rule(path) -> DecisionRule:
     for term in (t for e in exprs for t in e.terms):
         if not 0 <= term.input < m_bins:
             raise RuleError(f"{path}: term input {term.input} outside 0..{m_bins - 1}")
-        if len(term.params) != _N_PARAMS[term.kind]:
+        if len(term.params) != _KINDS[term.kind].n_params:
             raise RuleError(f"{path}: {term.kind} term on x{term.input} needs "
-                            f"{_N_PARAMS[term.kind]} params, got {len(term.params)}")
+                            f"{_KINDS[term.kind].n_params} params, got {len(term.params)}")
         if term.kind == "spline" and not (term.knots and term.coeffs):
             raise RuleError(f"{path}: spline term on x{term.input} lacks knots or coeffs")
     return DecisionRule(name, m_bins, exprs, doc.get("meta", {}))

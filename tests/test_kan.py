@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rdkan.kan import (
     KanModel,
@@ -250,9 +253,12 @@ class TestPrune:
             prune(model, rng.uniform(0, 1, (20, 2)))
 
     def test_everything_pruned_raises(self, rng):
-        model = self.make_model()
-        with pytest.raises(PruneError):
-            prune(model, rng.uniform(0.2, 0.8, (20, 2)), node_threshold=2.0, edge_threshold=2.0)
+        # the strongest edge always survives, so only non-finite features
+        # leave nothing to keep
+        X = rng.uniform(0.2, 0.8, (20, 2))
+        X[3, 1] = np.nan
+        with pytest.raises(PruneError, match="finite"):
+            prune(self.make_model(), X)
 
 
 class TestFineTune:
@@ -352,3 +358,37 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=self.MALFORMED[defect]):
             load_model(path)
+
+
+@st.composite
+def models(draw):
+    n_in, order, grid_count = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    knots = np.stack([uniform_knots(lo, lo + width, grid_count, order)
+                      for lo, width in draw(st.lists(st.tuples(st.floats(-10.0, 10.0),
+                                                               st.floats(1e-3, 10.0)),
+                                                     min_size=n_in, max_size=n_in))])
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    edges = (2, n_in)
+    return KanModel(
+        knots=knots,
+        coeffs=draw(arrays(np.float64, edges + (grid_count + order,), elements=finite)),
+        base_scale=draw(arrays(np.float64, edges, elements=finite)),
+        spline_scale=draw(arrays(np.float64, edges, elements=finite)),
+        edge_mask=draw(arrays(bool, edges)),
+        order=order,
+        grid_count=grid_count,
+        meta={"trained": draw(st.booleans())},
+    )
+
+
+class TestCheckpointProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(model=models())
+    def test_save_load_round_trip_is_exact(self, model, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "model.json"
+        save_model(path, model)
+        back = load_model(path)
+        for key in ("knots", "coeffs", "base_scale", "spline_scale", "edge_mask"):
+            a, b = getattr(back, key), getattr(model, key)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+        assert (back.order, back.grid_count, back.meta) == (model.order, model.grid_count, model.meta)

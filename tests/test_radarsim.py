@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdkan.radarsim import (
     C,
@@ -296,3 +298,20 @@ class TestSerialization:
         # repr round-trip through JSON keeps floats bit-exact, so the
         # replayed cube matches sample for sample
         assert np.array_equal(synth_clean_cube(back, config), synth_clean_cube(scene, config))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+scatterers = st.builds(Scatterer, finite, finite, finite, finite)
+targets = st.builds(ExtendedTarget, finite, finite, finite, st.sampled_from(("front", "rear", "side")),
+                    finite, finite, st.lists(scatterers, max_size=5).map(tuple))
+
+
+class TestSceneFileProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(scene=st.lists(targets, max_size=3), noise_sigma=st.none() | finite,
+           snr_db=st.none() | finite)
+    def test_round_trip_is_exact(self, scene, noise_sigma, snr_db, config, tmp_path_factory):
+        path = tmp_path_factory.mktemp("scene") / "scene.json"
+        scene_to_json(path, scene, config, noise_sigma=noise_sigma, snr_db=snr_db)
+        # repr tells -0.0 from 0.0 and shows every float digit
+        assert repr(scene_from_json(path)) == repr((scene, config, noise_sigma, snr_db))

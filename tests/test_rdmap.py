@@ -59,6 +59,13 @@ class TestComputeRdMap:
         with pytest.raises(ValueError, match="disagree"):
             compute_rd_map(cube)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_samples_rejected(self, bad, config, rng):
+        cube = synth_if_cube([], config, rng=rng)
+        cube.samples[5, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            compute_rd_map(cube, window="hann")
+
     def test_unknown_window_rejected(self, config, rng):
         cube = synth_if_cube([], config, rng=rng)
         with pytest.raises(ValueError, match="window"):
@@ -262,4 +269,13 @@ class TestSerialization:
         data = base.with_suffix(".bin").read_bytes()
         base.with_suffix(".bin").write_bytes(data[:-4])
         with pytest.raises(ValueError, match="cells"):
+            load_rd_map(base)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rd_map_non_finite_cell(self, bad, tmp_path, config, rng):
+        rd = compute_rd_map(synth_if_cube([], config, rng=rng))
+        rd.power[100, 60] = bad
+        base = tmp_path / "map"
+        save_rd_map(base, rd)
+        with pytest.raises(ValueError, match="non-finite cells"):
             load_rd_map(base)

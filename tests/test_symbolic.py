@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rdkan.kan import fit, init_model, predict, silu
+from rdkan.kan import fit, init_model, predict, silu, uniform_knots
 from rdkan.symbolic import (
+    _KINDS,
     BUILTIN_RULE_NAMES,
+    TERM_KINDS,
     DecisionRule,
     RuleError,
     SymbolicExpr,
@@ -301,3 +305,45 @@ class TestSerialization:
         assert "32.607" in text
         assert term_to_text(Term("const", 0, (1.5,))) == "1.5"
         assert "spline(x3)" == term_to_text(Term("spline", 3, (), (0, 1), (1, 1)))
+
+
+# bounded so that every term, exp included, evaluates without overflow
+term_floats = st.floats(-8.0, 8.0)
+
+
+@st.composite
+def terms(draw, m_bins):
+    kind = draw(st.sampled_from(TERM_KINDS))
+    r = draw(st.integers(0, m_bins - 1))
+    if kind == "spline":
+        lo = draw(st.floats(-2.0, 1.0))
+        knots = uniform_knots(lo, lo + draw(st.floats(0.1, 3.0)))
+        coeffs = draw(st.lists(term_floats, min_size=knots.size - 4, max_size=knots.size - 4))
+        return Term(kind, r, (), tuple(knots.tolist()), tuple(coeffs))
+    n = _KINDS[kind].n_params
+    return Term(kind, r, tuple(draw(st.lists(term_floats, min_size=n, max_size=n))))
+
+
+@st.composite
+def rules(draw):
+    m_bins = draw(st.integers(1, 12))
+    # two exprs (h0, h1) of any term kinds, spline included
+    exprs = tuple(
+        SymbolicExpr(tuple(draw(st.lists(terms(m_bins), max_size=4))), draw(term_floats))
+        for _ in range(2)
+    )
+    return DecisionRule(draw(st.text(max_size=12)), m_bins, exprs, {"source": "hypothesis"})
+
+
+class TestRuleFileProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(rule=rules())
+    def test_save_load_round_trip(self, rule, tmp_path_factory):
+        path = tmp_path_factory.mktemp("rule") / "rule.json"
+        save_rule(path, rule)
+        back = load_rule(path)
+        # repr tells -0.0 from 0.0 and shows every float digit
+        assert repr(back) == repr(rule)
+        assert rule_to_text(back) == rule_to_text(rule)
+        X = np.random.default_rng(0).uniform(-0.5, 1.5, (16, rule.m_bins))
+        assert np.array_equal(rule_scores(back, X), rule_scores(rule, X))
