@@ -52,8 +52,8 @@ def _scenario(name: str) -> datasets.TargetScenario:
         ) from None
 
 
-def _load_classifier(spec: str):
-    """Builtin rule name, rule JSON, or model checkpoint JSON."""
+def _load_classifier(spec: str) -> symbolic.DecisionRule:
+    """Builtin rule name, rule JSON, or model checkpoint JSON (as its exact rule)."""
     path = Path(spec)
     if path.exists():
         try:
@@ -63,7 +63,7 @@ def _load_classifier(spec: str):
         if fmt == "rdkan-rule-v1":
             return symbolic.load_rule(path)
         if fmt == "rdkan-checkpoint-v1":
-            return kan.load_model(path)
+            return symbolic.rule_from_model(kan.load_model(path), f"checkpoint:{path.name}")
         raise CliError(f"{spec}: unrecognized classifier format {fmt!r}")
     try:
         return symbolic.builtin_rule(spec)
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="radar config JSON")
     p.add_argument("--scene-out", help="also write the sampled scene JSON")
     p.add_argument("--rd-out", help="also write the RD map")
-    p.add_argument("--window", default=None, choices=(None, "hann"), help="RD window for --rd-out")
+    p.add_argument("--window", default=None, choices=("hann",), help="RD window for --rd-out")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train the segment histogram classifier")
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cube", required=True)
     p.add_argument("--classifier", default="paper-eq7-m10",
                    help="builtin rule name, rule JSON, or checkpoint JSON")
-    p.add_argument("--window", default="hann", choices=(None, "hann"))
+    p.add_argument("--window", default="hann", choices=("hann",))
     p.add_argument("--min-margin", type=float, default=None)
     p.add_argument("--out", help="detections CSV")
     p.set_defaults(func=cmd_detect)

@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import IN_DISTRIBUTION, TargetScenario, sample_scene
-from .kan import KanModel
 from .oscfar import (
     OsCfarConfig,
     make_os_cfar_config,
@@ -58,7 +57,7 @@ class DetectorError(ValueError):
 
 @dataclass
 class KanDetector:
-    classifier: object                  # DecisionRule or KanModel
+    classifier: DecisionRule
     id: str = ""
 
     def trial(self, rd: RDMap, gt_box, os_memo) -> tuple:
@@ -279,26 +278,22 @@ def _timed(fn, repeats: int = 3) -> float:
     return best
 
 
-def sweep_runtime_scaling(
-    n_rows_list=(64, 128, 256, 512),
-    n_cols: int = 128,
-    seed: int = 0,
-    classifier: DecisionRule | KanModel | None = None,
-):
+def sweep_runtime_scaling(n_rows_list=(64, 128, 256, 512), n_cols: int = 128, seed: int = 0):
     """Sweep-classifier runtime versus tested segment count.
 
     Returns dict with per-size timings and the log-log slope; the sweep
-    is one histogram pass plus a linear rule, so the slope sits near 1.
+    is one histogram pass plus the paper-eq7-m10 rule, so the slope sits
+    near 1.
     """
-    classifier = classifier or builtin_rule("paper-eq7-m10")
+    rule = builtin_rule("paper-eq7-m10")
     rng = np.random.default_rng(seed)
     geometry = derive_geometry(RadarConfig())
     n_segments, times = [], []
     for rows in n_rows_list:
         power = rng.exponential(1.0, size=(rows, n_cols))
         rd = RDMap(power=power, geometry=geometry)
-        n_segments.append(sweep_classify(rd, classifier).n_tested)  # also warms up
-        times.append(_timed(lambda: sweep_classify(rd, classifier)))
+        n_segments.append(len(sweep_classify(rd, rule).centers))  # also warms up
+        times.append(_timed(lambda: sweep_classify(rd, rule)))
     slope = float(np.polyfit(np.log(n_segments), np.log(times), 1)[0])
     return {"n_segments": n_segments, "seconds": times, "exponent": slope}
 

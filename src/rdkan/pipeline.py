@@ -1,10 +1,11 @@
 """Map-level detection: slide the histogram classifier, localize, dedupe.
 
 Every interior cell of an RD map is a candidate segment center.  The
-classifier (a decision rule or a trained spline model) scores each
-segment's normalized histogram; positive-margin segments are recentered
-onto their local power peak, collapsed when they land on the same cell,
-and filtered with greedy overlap suppression.  Degenerate segments
+classifier, a decision rule (a checkpoint loads as one through
+symbolic.rule_from_model), scores each segment's normalized histogram;
+positive-margin segments are recentered onto their local power peak,
+collapsed when they land on the same cell, and filtered with greedy
+overlap suppression.  Degenerate segments
 (constant power, so the histogram is undefined) never detect.
 """
 
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .kan import KanModel, forward
 from .rdmap import RDMap, SEGMENT_HALF, SEGMENT_SHAPE, SegmentError, segment_histogram_map
 from .symbolic import DecisionRule, rule_scores
 
@@ -70,29 +70,17 @@ class SweepResult:
     centers: np.ndarray      # (n, 2) int
     margins: np.ndarray      # (n,) float
     degenerate: np.ndarray   # (n,) bool
-    n_tested: int
 
     def hits(self, min_margin: float = 0.0) -> np.ndarray:
         """Indices with margin strictly above the floor; ties stay H0."""
         return np.flatnonzero((self.margins > min_margin) & ~self.degenerate)
 
 
-def sweep_classify(rd: RDMap, classifier) -> SweepResult:
+def sweep_classify(rd: RDMap, classifier: DecisionRule) -> SweepResult:
     """Score every full segment position; margins are h1 - h0."""
-    if isinstance(classifier, DecisionRule):
-        score = rule_scores
-    elif isinstance(classifier, KanModel):
-        score = forward
-    else:
-        raise TypeError(f"cannot classify with {type(classifier).__name__}")
-    centers, X, degenerate = segment_histogram_map(rd, classifier.n_in)
-    scores = score(classifier, X)
-    return SweepResult(
-        centers=centers,
-        margins=scores[:, 1] - scores[:, 0],
-        degenerate=degenerate,
-        n_tested=len(centers),
-    )
+    centers, X, degenerate = segment_histogram_map(rd, classifier.m_bins)
+    scores = rule_scores(classifier, X)
+    return SweepResult(centers=centers, margins=scores[:, 1] - scores[:, 0], degenerate=degenerate)
 
 
 def recenter(rd: RDMap, centers) -> np.ndarray:
@@ -134,7 +122,7 @@ def nms(detections) -> list:
     return kept
 
 
-def detect(rd: RDMap, classifier, min_margin: float | None = None) -> list:
+def detect(rd: RDMap, classifier: DecisionRule, min_margin: float | None = None) -> list:
     """Full sweep -> recenter -> dedupe -> suppress chain.
 
     min_margin=None picks the calibrated map-level floor for shipped
@@ -143,8 +131,7 @@ def detect(rd: RDMap, classifier, min_margin: float | None = None) -> list:
     final center is a sweep position and keeps that position's margin.
     """
     if min_margin is None:
-        name = classifier.name if isinstance(classifier, DecisionRule) else None
-        min_margin = MAP_MARGIN_FLOORS.get(name, 0.0)
+        min_margin = MAP_MARGIN_FLOORS.get(classifier.name, 0.0)
     sweep = sweep_classify(rd, classifier)
     finals = recenter(rd, sweep.centers[sweep.hits(min_margin)])
     finals, counts = np.unique(finals, axis=0, return_counts=True)

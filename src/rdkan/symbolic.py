@@ -39,8 +39,11 @@ class _Kind(NamedTuple):
 
 
 def _spline_value(term, x):
-    design = bspline_design(np.asarray(term.knots), np.atleast_1d(x))
-    return (design @ np.asarray(term.coeffs)).reshape(x.shape)
+    # n knots and k coeffs make a B-spline of order n - k - 1; einsum, unlike
+    # a BLAS matmul, gives a row the same value in a batch of any size
+    order = len(term.knots) - len(term.coeffs) - 1
+    design = bspline_design(np.asarray(term.knots), np.atleast_1d(x), order)
+    return np.einsum("bi,i->b", design, np.asarray(term.coeffs)).reshape(x.shape)
 
 
 def _fmt(v: float) -> str:
@@ -104,10 +107,6 @@ class DecisionRule:
     m_bins: int
     exprs: tuple          # (h0, h1)
     meta: dict = field(default_factory=dict)
-
-    @property
-    def n_in(self) -> int:
-        return self.m_bins
 
 
 def term_value(term: Term, x) -> np.ndarray:
@@ -296,6 +295,24 @@ def snap(model: KanModel, name: str) -> DecisionRule:
     return rule
 
 
+def rule_from_model(model: KanModel, name: str) -> DecisionRule:
+    """The model's margin as a rule, exactly (no snapping).
+
+    h0 is empty and h1 carries, per active input r, one silu and one
+    spline term that together make phi_1r - phi_0r; masked edges add 0.
+    """
+    terms = []
+    for r in map(int, model.active_inputs()):
+        on = model.edge_mask[:, r]
+        base = np.where(on, model.base_scale[:, r], 0.0)
+        coeffs = np.where(on[:, None], model.spline_scale[:, r, None] * model.coeffs[:, r], 0.0)
+        terms += [Term("silu", r, (float(base[1] - base[0]), 1.0, 0.0, 0.0)),
+                  Term("spline", r, knots=tuple(model.knots[r].tolist()),
+                       coeffs=tuple((coeffs[1] - coeffs[0]).tolist()))]
+    return DecisionRule(name, model.n_in, (SymbolicExpr(()), SymbolicExpr(tuple(terms))),
+                        {"source": "checkpoint"})
+
+
 def _spline_term_from_edge(model: KanModel, r: int, x, y) -> Term:
     """Sampled-spline fallback: refit the whole edge's samples (base +
     spline part) onto a plain B-spline so the term needs no silu component."""
@@ -351,6 +368,19 @@ def save_rule(path, rule: DecisionRule) -> None:
     Path(path).write_text(json.dumps(doc, indent=2))
 
 
+def _check_spline(where: str, term: Term) -> None:
+    if not (term.knots and term.coeffs):
+        raise RuleError(f"{where} lacks knots or coeffs")
+    knots, coeffs = np.asarray(term.knots, dtype=float), np.asarray(term.coeffs, dtype=float)
+    order = len(knots) - len(coeffs) - 1
+    if not 1 <= order < len(coeffs):
+        raise RuleError(f"{where}: {len(knots)} knots and {len(coeffs)} coeffs make no B-spline")
+    if not (np.isfinite(knots).all() and np.isfinite(coeffs).all()):
+        raise RuleError(f"{where} has non-finite knots or coeffs")
+    if np.any(np.diff(knots) <= 0):
+        raise RuleError(f"{where}: knots do not strictly increase")
+
+
 def load_rule(path) -> DecisionRule:
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != "rdkan-rule-v1":
@@ -372,8 +402,8 @@ def load_rule(path) -> DecisionRule:
         if len(term.params) != _KINDS[term.kind].n_params:
             raise RuleError(f"{path}: {term.kind} term on x{term.input} needs "
                             f"{_KINDS[term.kind].n_params} params, got {len(term.params)}")
-        if term.kind == "spline" and not (term.knots and term.coeffs):
-            raise RuleError(f"{path}: spline term on x{term.input} lacks knots or coeffs")
+        if term.kind == "spline":
+            _check_spline(f"{path}: spline term on x{term.input}", term)
     return DecisionRule(name, m_bins, exprs, doc.get("meta", {}))
 
 

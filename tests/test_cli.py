@@ -1,14 +1,18 @@
 """Command line flows and exit codes, driven through main(argv)."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rdkan import cli
 from rdkan.cli import EXIT_FAILURE, EXIT_USAGE, main
 from rdkan.kan import init_model, load_model, save_model
 from rdkan.radarsim import load_cube, save_cube
 from rdkan.symbolic import builtin_rule, load_rule, save_rule
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(capsys, *argv):
@@ -119,7 +123,8 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "available" in err
 
-    @pytest.mark.parametrize("defect", ["input-out-of-range", "one-expr", "spline-without-knots"])
+    @pytest.mark.parametrize(
+        "defect", ["input-out-of-range", "one-expr", "spline-without-knots", "spline-short-knots"])
     def test_malformed_rule_is_failure(self, defect, tmp_path, capsys):
         cube_path = tmp_path / "c.bin"
         assert run(capsys, "simulate", "--out", str(cube_path), "--seed", "0")[0] == 0
@@ -130,12 +135,17 @@ class TestExitCodes:
             doc["exprs"][1]["terms"][0]["input"] = 12
         elif defect == "one-expr":
             doc["exprs"] = doc["exprs"][:1]
-        else:
+        elif defect == "spline-without-knots":
             doc["exprs"][0]["terms"][0] = {"kind": "spline", "input": 0, "params": []}
+        else:
+            # 2 knots and 2 coeffs imply no B-spline
+            doc["exprs"][0]["terms"][0] = {"kind": "spline", "input": 0, "params": [],
+                                           "knots": [0.0, 1.0], "coeffs": [1.0, 1.0]}
         rule_path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "detect", "--cube", str(cube_path), "--classifier", str(rule_path))
         assert code == EXIT_FAILURE
-        assert err.startswith("error:")
+        # refused by load_rule, whose messages name the file
+        assert err.startswith(f"error: {rule_path}:")
 
     @pytest.mark.parametrize("defect", ["no-base-scale", "one-row-edge-mask", "null-base-scale"])
     def test_malformed_checkpoint_is_failure(self, defect, tmp_path, capsys):
@@ -203,6 +213,12 @@ class TestExitCodes:
             main(["transmogrify"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "detect"])
+    def test_window_help_lists_only_accepted_values(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--window {hann}" in capsys.readouterr().out
+
     def test_mismatched_fine_tune_checkpoint(self, tmp_path, capsys):
         model_path = tmp_path / "m5.json"
         code, _, _ = run(
@@ -230,3 +246,26 @@ class TestConfigOverride:
         )
         assert code == 0
         assert load_cube(cube_path).samples.shape == (128, 64)
+
+
+class TestBenchmarkTraceHooks:
+    def test_hooks_bind_on_checkpoint_detect(self, tmp_path, capsys, monkeypatch):
+        # the benchmark's span tracer wraps rdkan functions by name and its
+        # counter hooks read their arguments and results; a renamed function,
+        # parameter or field shows up as missing or as a hook error
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from spans import Tracer
+
+        cube_path = tmp_path / "c.bin"
+        assert run(capsys, "simulate", "--out", str(cube_path), "--seed", "3", "--snr", "15")[0] == 0
+        tracer = Tracer()
+        tracer.install()
+        try:
+            code = cli.main(["detect", "--cube", str(cube_path),
+                             "--classifier", str(PERFBENCH / "sparse-m10.json")])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        assert tracer.missing == []
+        assert tracer.counters["hook_errors"] == 0
+        assert tracer.counters["sweep_hits"] > 0

@@ -33,6 +33,7 @@ from rdkan.kan import (
     uniform_knots,
     update_grids,
 )
+from rdkan.symbolic import rule_from_model, rule_scores
 
 FAST_OPTS = TrainOptions(max_iter=80, grid_refresh_at=40)
 
@@ -361,19 +362,18 @@ class TestCheckpoint:
 
 
 @st.composite
-def models(draw):
+def models(draw, elements=st.floats(allow_nan=False, allow_infinity=False)):
     n_in, order, grid_count = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
     knots = np.stack([uniform_knots(lo, lo + width, grid_count, order)
                       for lo, width in draw(st.lists(st.tuples(st.floats(-10.0, 10.0),
                                                                st.floats(1e-3, 10.0)),
                                                      min_size=n_in, max_size=n_in))])
-    finite = st.floats(allow_nan=False, allow_infinity=False)
     edges = (2, n_in)
     return KanModel(
         knots=knots,
-        coeffs=draw(arrays(np.float64, edges + (grid_count + order,), elements=finite)),
-        base_scale=draw(arrays(np.float64, edges, elements=finite)),
-        spline_scale=draw(arrays(np.float64, edges, elements=finite)),
+        coeffs=draw(arrays(np.float64, edges + (grid_count + order,), elements=elements)),
+        base_scale=draw(arrays(np.float64, edges, elements=elements)),
+        spline_scale=draw(arrays(np.float64, edges, elements=elements)),
         edge_mask=draw(arrays(bool, edges)),
         order=order,
         grid_count=grid_count,
@@ -392,3 +392,20 @@ class TestCheckpointProperties:
             a, b = getattr(back, key), getattr(model, key)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
         assert (back.order, back.grid_count, back.meta) == (model.order, model.grid_count, model.meta)
+
+
+class TestRuleFromModelProperties:
+    # bounded parameters: with any finite float, phi_1 and phi_0 could each
+    # overflow or cancel to far below their own rounding error
+    @settings(max_examples=80, deadline=None)
+    @given(model=models(elements=st.floats(-10.0, 10.0)), data=st.data())
+    def test_margins_equal_forward(self, model, data):
+        # inputs reach one grid width past each end of the grid, so the
+        # linear extrapolation of the splines is covered too
+        u = data.draw(arrays(np.float64, (8, model.n_in), elements=st.floats(-1.0, 2.0)))
+        lo, hi = model.knots[:, model.order], model.knots[:, -model.order - 1]
+        X = lo + u * (hi - lo)
+        scores = rule_scores(rule_from_model(model, "model"), X)
+        logits = forward(model, X)
+        want = logits[:, 1] - logits[:, 0]
+        assert np.all(np.abs(scores[:, 1] - scores[:, 0] - want) <= 1e-9 * (1.0 + np.abs(want)))

@@ -29,7 +29,7 @@ from rdkan.rdmap import (
     extract_segment,
     histogram_feature,
 )
-from rdkan.symbolic import builtin_rule, rule_scores
+from rdkan.symbolic import builtin_rule, rule_from_model, rule_scores
 
 
 def as_rd(power):
@@ -208,25 +208,21 @@ class TestSweep:
         rule = builtin_rule("paper-eq7-m10")
         rd = as_rd(rng.exponential(1.0, (40, 20)))
         sweep = sweep_classify(rd, rule)
-        assert sweep.n_tested == (40 - 16) * (20 - 6)
-        for i in rng.choice(sweep.n_tested, 5, replace=False):
+        assert len(sweep.centers) == (40 - 16) * (20 - 6)
+        for i in rng.choice(len(sweep.centers), 5, replace=False):
             r, d = sweep.centers[i]
             feat = histogram_feature(extract_segment(rd, (r, d)), 10)
             s = rule_scores(rule, feat.histogram[None])[0]
             assert sweep.margins[i] == pytest.approx(s[1] - s[0], abs=1e-12)
 
     def test_model_classifier_margins(self, rng):
+        # a checkpoint sweeps as its exact rule
         model = init_model(10, rng)
         rd = as_rd(rng.exponential(1.0, (40, 20)))
-        sweep = sweep_classify(rd, model)
+        sweep = sweep_classify(rd, rule_from_model(model, "kan"))
         feat = histogram_feature(extract_segment(rd, tuple(sweep.centers[0])), 10)
         logits = forward(model, feat.histogram[None])[0]
         assert sweep.margins[0] == pytest.approx(logits[1] - logits[0], abs=1e-10)
-
-    def test_unsupported_classifier(self, rng):
-        rd = as_rd(rng.exponential(1.0, (40, 20)))
-        with pytest.raises(TypeError):
-            sweep_classify(rd, object())
 
     def test_hits_respect_floor_and_degeneracy(self):
         rule = builtin_rule("paper-eq7-m10")
@@ -264,16 +260,16 @@ class TestDetect:
         # one-segment score there, bit for bit
         rng = np.random.default_rng(5)
         if kind == "rule":
-            classifier, score = builtin_rule("paper-eq7-m10"), rule_scores
+            classifier = builtin_rule("paper-eq7-m10")
         else:
-            classifier, score = init_model(10, rng), forward
+            classifier = rule_from_model(init_model(10, rng), "kan")
         scene = [sample_target(rng, r_m, v, "front") for r_m, v in ((30.0, -4.0), (55.0, 6.0))]
         rd = compute_rd_map(synth_if_cube(scene, config, snr_db=20.0, rng=rng), window="hann")
         dets = detect(rd, classifier)
         assert dets
         for det in dets:
             feat = histogram_feature(extract_segment(rd, det.center), 10)
-            s = score(classifier, feat.histogram[None])[0]
+            s = rule_scores(classifier, feat.histogram[None])[0]
             assert det.margin == s[1] - s[0]
 
     def test_floor_table_has_shipped_rule(self):

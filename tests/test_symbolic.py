@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdkan.kan import fit, init_model, predict, silu, uniform_knots
+from rdkan.kan import bspline_design, fit, init_model, predict, silu, uniform_knots
 from rdkan.symbolic import (
     _KINDS,
     BUILTIN_RULE_NAMES,
@@ -38,6 +38,17 @@ from rdkan.symbolic import (
 CROSSOVER_ORACLE = {"paper-eq7-m10": 0.76835544, "paper-eq8-m5": 0.88379796}
 
 
+# (knots, coeffs) of spline terms that load_rule must refuse; 10 uniform
+# knots with 6 coeffs would be a valid cubic
+_KNOTS = uniform_knots(0.0, 1.0).tolist()
+BAD_SPLINES = {
+    "spline-short-knots": ([0.0, 1.0], [1.0, 1.0]),
+    "spline-few-coeffs": (_KNOTS, [1.0] * 3),
+    "spline-knots-decrease": (_KNOTS[::-1], [1.0] * 6),
+    "spline-non-finite": (_KNOTS, [1.0, 1.0, float("nan"), 1.0, 1.0, 1.0]),
+}
+
+
 def linear_rule(slope0, bias0, slope1, bias1, m_bins=3):
     return DecisionRule(
         "toy", m_bins,
@@ -64,6 +75,15 @@ class TestTerms:
             term_value(Term("silu", 0, (2.0, 8.0, -4.0, 1.0)), x),
             2 * silu(8 * x - 4) + 1,
         )
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_spline_term_evaluates_at_its_own_order(self, order, rng):
+        # the order is len(knots) - len(coeffs) - 1, inside and outside the grid
+        knots = uniform_knots(0.0, 1.0, 4, order)
+        coeffs = rng.normal(size=4 + order)
+        x = np.linspace(-0.5, 1.5, 41)
+        value = term_value(Term("spline", 0, (), tuple(knots), tuple(coeffs)), x)
+        assert np.allclose(value, bspline_design(knots, x, order) @ coeffs, rtol=0.0, atol=1e-12)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(RuleError):
@@ -276,6 +296,10 @@ class TestSerialization:
             ("spline-without-knots", "lacks knots or coeffs"),
             ("short-params", "needs 2 params"),
             ("missing-terms", "malformed"),
+            ("spline-short-knots", "2 knots and 2 coeffs make no B-spline"),
+            ("spline-few-coeffs", "10 knots and 3 coeffs make no B-spline"),
+            ("spline-knots-decrease", "knots do not strictly increase"),
+            ("spline-non-finite", "non-finite"),
         ],
     )
     def test_rejects_malformed_rule(self, defect, message, tmp_path):
@@ -291,6 +315,9 @@ class TestSerialization:
             terms[0] = {"kind": "spline", "input": 0, "params": []}
         elif defect == "short-params":
             terms[0]["params"] = terms[0]["params"][:1]
+        elif defect in BAD_SPLINES:
+            knots, coeffs = BAD_SPLINES[defect]
+            terms[0] = {"kind": "spline", "input": 0, "params": [], "knots": knots, "coeffs": coeffs}
         else:
             del doc["exprs"][0]["terms"]
         path.write_text(json.dumps(doc))
