@@ -52,23 +52,17 @@ def _scenario(name: str) -> datasets.TargetScenario:
         ) from None
 
 
-def _load_classifier(spec: str) -> symbolic.DecisionRule:
-    """Builtin rule name, rule JSON, or model checkpoint JSON (as its exact rule)."""
-    path = Path(spec)
-    if path.exists():
-        try:
-            fmt = json.loads(path.read_text()).get("format", "")
-        except (json.JSONDecodeError, OSError) as err:
-            raise CliError(f"cannot read classifier {spec}: {err}") from None
-        if fmt == "rdkan-rule-v1":
-            return symbolic.load_rule(path)
-        if fmt == "rdkan-checkpoint-v1":
-            return symbolic.rule_from_model(kan.load_model(path), f"checkpoint:{path.name}")
-        raise CliError(f"{spec}: unrecognized classifier format {fmt!r}")
-    try:
-        return symbolic.builtin_rule(spec)
-    except symbolic.RuleError as err:
-        raise CliError(str(err), EXIT_USAGE) from None
+def _spec_error(spec: str, err: Exception) -> CliError:
+    """A classifier spec that names no file is a rule name, so a bad one is
+    bad usage; a file that fails to load is a runtime failure."""
+    return CliError(str(err), EXIT_FAILURE if Path(spec).exists() else EXIT_USAGE)
+
+
+def _finite(option: str, value):
+    """value, unless it is a number that is NaN or infinite (None passes)."""
+    if value is not None and not np.isfinite(value):
+        raise CliError(f"{option} must be finite, got {value}", EXIT_USAGE)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +70,7 @@ def _load_classifier(spec: str) -> symbolic.DecisionRule:
 
 
 def cmd_simulate(args) -> int:
+    _finite("--snr", args.snr)
     config = _config_from_args(args)
     rng = np.random.default_rng(args.seed)
     if args.scene:
@@ -146,10 +141,13 @@ def cmd_snap(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    min_margin = _finite("--min-margin", args.min_margin)  # None picks the calibrated floor
     cube = radarsim.load_cube(args.cube)
     rd = rdmap.compute_rd_map(cube, window=args.window)
-    classifier = _load_classifier(args.classifier)
-    min_margin = args.min_margin  # None picks the calibrated floor
+    try:
+        classifier = symbolic.load_classifier(args.classifier)
+    except symbolic.RuleError as err:
+        raise _spec_error(args.classifier, err) from None
     detections = pipeline.detect(rd, classifier, min_margin=min_margin)
     for det in detections:
         r_m = rd.geometry.bin_to_range(det.range_bin)
@@ -167,14 +165,21 @@ def cmd_eval(args) -> int:
     ids = [s.strip() for s in args.detectors.split(",") if s.strip()]
     if not ids:
         raise CliError("no detector ids given", EXIT_USAGE)
-    try:
-        detectors = [harness.detector_from_id(i) for i in ids]
-    except ValueError as err:
-        raise CliError(str(err), EXIT_USAGE) from None
+    if args.trials < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}", EXIT_USAGE)
     try:
         snr_grid = [float(s) for s in args.snr_grid.split(",")]
+        if not np.isfinite(snr_grid).all():
+            raise ValueError
     except ValueError:
-        raise CliError(f"bad SNR grid {args.snr_grid!r}", EXIT_USAGE) from None
+        raise CliError(f"--snr-grid: bad SNR grid {args.snr_grid!r}; expected finite dB values",
+                       EXIT_USAGE) from None
+    detectors = []
+    for detector_id in ids:
+        try:
+            detectors.append(harness.detector_from_id(detector_id))
+        except ValueError as err:
+            raise _spec_error(detector_id.partition(":")[2], err) from None
     config = _config_from_args(args)
     report = harness.run_monte_carlo(
         detectors, snr_grid_db=snr_grid, n_trials=args.trials, seed=args.seed,

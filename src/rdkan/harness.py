@@ -5,9 +5,7 @@ scored on identical maps: each trial draws one scene and one unit noise
 field, then every SNR point and every detector sees the same data with
 only the noise scale changing.  Differences between detectors are never
 due to luck of the draw.  Each detector scores one whole map per call,
-trial(rd, gt_box, os_memo) -> (hit, n_false, n_tested); os_memo is a
-per-map dict through which CFAR detectors that share (window, guard,
-k_rank) reuse one sort of the reference cells.
+trial(rd, gt_box) -> (hit, n_false, n_tested), keeping nothing between calls.
 
 Scoring is asymmetric by design.  The sweep classifier outputs boxes,
 so a trial counts as detected when its boxes cover at least half of the
@@ -44,7 +42,7 @@ from .radarsim import (
     synth_clean_cube,
 )
 from .rdmap import SEGMENT_SHAPE, RDMap, compute_rd_map
-from .symbolic import DecisionRule, builtin_rule
+from .symbolic import DecisionRule, builtin_rule, load_classifier
 
 SNR_GRID_DB = tuple(range(-25, 30, 5))
 COVERAGE_THRESHOLD = 0.5
@@ -60,7 +58,7 @@ class KanDetector:
     classifier: DecisionRule
     id: str = ""
 
-    def trial(self, rd: RDMap, gt_box, os_memo) -> tuple:
+    def trial(self, rd: RDMap, gt_box) -> tuple:
         """Sweep at the calibrated margin floor; every segment position is tested."""
         hit, n_false = score_kan_trial(detect(rd, self.classifier), gt_box)
         n_r, n_d = rd.power.shape
@@ -72,22 +70,20 @@ class OsCfarDetector:
     config: OsCfarConfig
     id: str = ""
 
-    def trial(self, rd: RDMap, gt_box, os_memo) -> tuple:
+    def trial(self, rd: RDMap, gt_box) -> tuple:
         """Fire map scored against the truth box; every interior CUT is tested."""
-        c = self.config
-        key = (c.window, c.guard, c.k_rank)
-        if key not in os_memo:
-            os_memo[key], _ = order_statistic_map(rd.power, *key)
-        fires, offset = os_cfar_fire_map(rd.power, c, os_values=os_memo[key])
+        fires, offset = os_cfar_fire_map(rd.power, self.config)
         hit, n_false = score_oscfar_trial(fires, offset, gt_box)
         return hit, n_false, fires.size
 
 
 def detector_from_id(detector_id: str):
-    """"kan:<builtin rule name>" or "oscfar:<design pfa>"."""
+    """"kan:<classifier spec>" or "oscfar:<design pfa>"; the spec is anything
+    symbolic.load_classifier takes: a built-in rule name, a rule JSON or a
+    checkpoint JSON."""
     kind, _, arg = detector_id.partition(":")
     if kind == "kan" and arg:
-        return KanDetector(classifier=builtin_rule(arg), id=detector_id)
+        return KanDetector(classifier=load_classifier(arg), id=detector_id)
     if kind == "oscfar" and arg:
         try:
             pfa = float(arg)
@@ -95,7 +91,7 @@ def detector_from_id(detector_id: str):
             raise DetectorError(f"bad false-alarm rate in {detector_id!r}") from None
         return OsCfarDetector(config=make_os_cfar_config(pfa), id=detector_id)
     raise DetectorError(
-        f"unknown detector id {detector_id!r}; expected kan:<rule> or oscfar:<pfa>"
+        f"unknown detector id {detector_id!r}; expected kan:<classifier> or oscfar:<pfa>"
     )
 
 
@@ -245,9 +241,8 @@ def run_monte_carlo(
             sigma = sigma_for_snr(clean, config, snr, peak=peak)
             cube = IfDataCube(samples=clean + sigma * unit, config=config, noise_sigma=sigma)
             rd = compute_rd_map(cube, window="hann")
-            os_memo: dict = {}
             for i, det in enumerate(detectors):
-                hit, n_false, n_tested = det.trial(rd, gt, os_memo)
+                hit, n_false, n_tested = det.trial(rd, gt)
                 hits[i, j] += hit
                 falses[i, j] += n_false
                 tested[i, j] += n_tested
@@ -303,7 +298,8 @@ def oscfar_runtime_scaling(
     map_shape=(256, 128),
     seed: int = 0,
 ):
-    """CFAR runtime versus reference-set size.
+    """Runtime of the OS reference sort, order_statistic_map (not the
+    detector's counted fire map), versus reference-set size.
 
     The per-CUT cost is a full sort of n_ref cells, so runtime should
     track n_ref*log2(n_ref); returns timings and that log-log slope.

@@ -108,50 +108,55 @@ def reference_columns(window, guard):
     return np.flatnonzero(mask.ravel())
 
 
-def order_statistic_map(power, window=(17, 7), guard=(2, 1), k_rank=78):
-    """k-th smallest reference cell for every interior CUT.
-
-    Returns (os_values (R', D'), (hr, hd)) where the CUT at os_values[i, j]
-    is power[i + hr, j + hd].  Reference cells are fully sorted per CUT.
-    """
-    power = np.asarray(power)
+def _interior(shape, window, guard, k_rank):
+    """Interior CUT grid (n_r, n_d), CUT offset (hr, hd) and reference columns."""
     wr, wd = window
-    if power.shape[0] < wr or power.shape[1] < wd:
-        raise ValueError(f"map {power.shape} smaller than window {window}")
+    if shape[0] < wr or shape[1] < wd:
+        raise ValueError(f"map {shape} smaller than window {window}")
     cols = reference_columns(tuple(window), tuple(guard))
     if not 0 < k_rank <= cols.size:
         raise ValueError(f"k_rank must be in 1..{cols.size}, got {k_rank}")
-    win = sliding_window_view(power, tuple(window))
-    n_r, n_d = win.shape[:2]
-    refs = win.reshape(n_r * n_d, wr * wd)[:, cols]
-    refs = np.sort(refs, axis=1)
-    os_values = refs[:, k_rank - 1].reshape(n_r, n_d)
-    return os_values, (wr // 2, wd // 2)
+    return (shape[0] - wr + 1, shape[1] - wd + 1), (wr // 2, wd // 2), cols
 
 
-def os_cfar_fire_map(power, config: OsCfarConfig, os_values=None):
+def order_statistic_map(power, window=(17, 7), guard=(2, 1), k_rank=78):
+    """k-th smallest reference cell for every interior CUT.
+
+    Returns (stat (R', D'), (hr, hd)) where the CUT at stat[i, j] is
+    power[i + hr, j + hd].  Reference cells are fully sorted per CUT.  Tests
+    use it as the reference and the runtime bench times it; detectors count.
+    """
+    power = np.asarray(power)
+    (n_r, n_d), offset, cols = _interior(power.shape, window, guard, k_rank)
+    refs = sliding_window_view(power, tuple(window)).reshape(n_r * n_d, -1)[:, cols]
+    return np.sort(refs, axis=1)[:, k_rank - 1].reshape(n_r, n_d), offset
+
+
+def os_cfar_fire_map(power, config: OsCfarConfig):
     """Boolean fire matrix for interior CUTs plus the (hr, hd) offset.
 
-    A CUT fires when its power strictly exceeds alpha times its order
-    statistic; this is the detector's output.  fires[i, j] refers to
-    power[i + hr, j + hd]; edge cells without a full window are never
-    tested.  Pass os_values from a previous call to reuse the sort across
-    alpha settings.
+    A CUT fires when its power strictly exceeds alpha times its k-th
+    smallest reference cell, i.e. when at least k_rank scaled reference
+    cells lie below it; fl(alpha * x) is monotone for alpha >= 0, so this
+    count decides bit for bit as a sort would.  fires[i, j] refers to
+    power[i + hr, j + hd]; edge cells without a full window are never tested.
     """
     power = _as_power(power)
-    if os_values is None:
-        os_values, _ = order_statistic_map(power, config.window, config.guard, config.k_rank)
-    hr, hd = config.window[0] // 2, config.window[1] // 2
-    cut = power[hr:hr + os_values.shape[0], hd:hd + os_values.shape[1]]
-    return cut > config.alpha * os_values, (hr, hd)
+    (n_r, n_d), (hr, hd), cols = _interior(power.shape, config.window, config.guard, config.k_rank)
+    cut = power[hr:hr + n_r, hd:hd + n_d]
+    scaled = config.alpha * power
+    count = np.zeros((n_r, n_d), dtype=np.int16)  # n_ref reaches 348 (33x11): not uint8
+    for a, b in zip(*np.divmod(cols, config.window[1])):
+        count += scaled[a:a + n_r, b:b + n_d] < cut
+    return count >= config.k_rank, (hr, hd)
 
 
 def empirical_false_alarm_rate(configs, n_cuts, seed, map_shape=(256, 128)):
     """Monte-Carlo false-alarm rates on i.i.d. exponential noise maps.
 
     Runs whole synthetic maps through the detector until at least n_cuts
-    CUTs were tested; the per-map order-statistic sort is shared between
-    the supplied configs (they must agree on window, guard and k_rank).
+    CUTs were tested.  The configs must agree on window, guard and k_rank,
+    so that every one tests the same CUTs and one total serves them all.
     Returns (rates, total_cuts).
     """
     configs = list(configs)
@@ -164,9 +169,8 @@ def empirical_false_alarm_rate(configs, n_cuts, seed, map_shape=(256, 128)):
     false_alarms = np.zeros(len(configs), dtype=np.int64)
     for _ in range(n_maps):
         power = rng.exponential(1.0, size=map_shape)
-        os_values, _ = order_statistic_map(power, *key)
         for i, cfg in enumerate(configs):
-            fires, _ = os_cfar_fire_map(power, cfg, os_values)
+            fires, _ = os_cfar_fire_map(power, cfg)
             false_alarms[i] += int(np.count_nonzero(fires))
     total = n_maps * per_map
     return false_alarms / total, total

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .kan import KanModel, bspline_design, edge_value, silu
+from .kan import KanModel, bspline_design, edge_value, load_model, silu
 
 SNAP_R2_THRESHOLD = 0.9
 SNAP_R2_TIE = 1e-4
@@ -383,7 +383,7 @@ def _check_spline(where: str, term: Term) -> None:
 
 def load_rule(path) -> DecisionRule:
     doc = json.loads(Path(path).read_text())
-    if doc.get("format") != "rdkan-rule-v1":
+    if not isinstance(doc, dict) or doc.get("format") != "rdkan-rule-v1":
         raise RuleError(f"{path}: not a rule file")
     try:
         m_bins = int(doc["m_bins"])
@@ -396,12 +396,16 @@ def load_rule(path) -> DecisionRule:
         raise RuleError(f"{path}: malformed rule: {err!r}") from None
     if len(exprs) != 2:
         raise RuleError(f"{path}: expected 2 exprs (h0, h1), found {len(exprs)}")
+    if not np.isfinite([e.bias for e in exprs]).all():
+        raise RuleError(f"{path}: non-finite expr bias")
     for term in (t for e in exprs for t in e.terms):
         if not 0 <= term.input < m_bins:
             raise RuleError(f"{path}: term input {term.input} outside 0..{m_bins - 1}")
         if len(term.params) != _KINDS[term.kind].n_params:
             raise RuleError(f"{path}: {term.kind} term on x{term.input} needs "
                             f"{_KINDS[term.kind].n_params} params, got {len(term.params)}")
+        if not np.isfinite(np.asarray(term.params, dtype=float)).all():
+            raise RuleError(f"{path}: {term.kind} term on x{term.input} has non-finite params")
         if term.kind == "spline":
             _check_spline(f"{path}: spline term on x{term.input}", term)
     return DecisionRule(name, m_bins, exprs, doc.get("meta", {}))
@@ -447,3 +451,21 @@ def builtin_rule(name: str) -> DecisionRule:
         raise RuleError(
             f"unknown rule {name!r}; available: {', '.join(BUILTIN_RULE_NAMES)}"
         ) from None
+
+
+def load_classifier(spec) -> DecisionRule:
+    """The rule a classifier spec names: a built-in rule name, a rule JSON, or
+    a model checkpoint JSON (as its exact margin rule, rule_from_model).
+
+    A spec that names no file is looked up as a built-in name.
+    """
+    path = Path(spec)
+    if not path.exists():
+        return builtin_rule(str(spec))
+    try:
+        doc = json.loads(path.read_text())
+    except (json.JSONDecodeError, OSError) as err:
+        raise RuleError(f"{path}: cannot read classifier: {err}") from None
+    if isinstance(doc, dict) and doc.get("format") == "rdkan-checkpoint-v1":
+        return rule_from_model(load_model(path), f"checkpoint:{path.name}")
+    return load_rule(path)

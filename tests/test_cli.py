@@ -101,6 +101,20 @@ class TestFullFlow:
         assert eval_csv.read_text().startswith("snr_db,")
 
 
+class TestEvalClassifierIds:
+    def test_checkpoint_and_rule_json_ids(self, tmp_path, capsys):
+        rule_path = tmp_path / "rule.json"
+        save_rule(rule_path, builtin_rule("paper-eq7-m10"))
+        ids = [f"kan:{PERFBENCH / 'sparse-m10.json'}", f"kan:{rule_path}"]
+        eval_json = tmp_path / "eval.json"
+        code, _, _ = run(capsys, "eval", "--detectors", ",".join(ids), "--trials", "1",
+                           "--snr-grid", "20", "--out", str(eval_json))
+        assert code == 0
+        doc = json.loads(eval_json.read_text())
+        assert doc["detector_ids"] == ids and doc["n_trials"] == 1
+        assert all(0.0 <= row[0] <= 1.0 for row in doc["pd"])
+
+
 class TestExitCodes:
     def test_unknown_scenario_is_usage(self, tmp_path, capsys):
         code, _, err = run(
@@ -124,7 +138,8 @@ class TestExitCodes:
         assert "available" in err
 
     @pytest.mark.parametrize(
-        "defect", ["input-out-of-range", "one-expr", "spline-without-knots", "spline-short-knots"])
+        "defect", ["input-out-of-range", "one-expr", "spline-without-knots", "spline-short-knots",
+                   "nan-param", "inf-bias"])
     def test_malformed_rule_is_failure(self, defect, tmp_path, capsys):
         cube_path = tmp_path / "c.bin"
         assert run(capsys, "simulate", "--out", str(cube_path), "--seed", "0")[0] == 0
@@ -137,15 +152,20 @@ class TestExitCodes:
             doc["exprs"] = doc["exprs"][:1]
         elif defect == "spline-without-knots":
             doc["exprs"][0]["terms"][0] = {"kind": "spline", "input": 0, "params": []}
+        elif defect == "nan-param":
+            doc["exprs"][1]["terms"][0]["params"][0] = float("nan")  # the h1 slope
+        elif defect == "inf-bias":
+            doc["exprs"][0]["bias"] = float("inf")
         else:
             # 2 knots and 2 coeffs imply no B-spline
             doc["exprs"][0]["terms"][0] = {"kind": "spline", "input": 0, "params": [],
                                            "knots": [0.0, 1.0], "coeffs": [1.0, 1.0]}
         rule_path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "detect", "--cube", str(cube_path), "--classifier", str(rule_path))
+        code, out, err = run(capsys, "detect", "--cube", str(cube_path), "--classifier", str(rule_path))
         assert code == EXIT_FAILURE
         # refused by load_rule, whose messages name the file
         assert err.startswith(f"error: {rule_path}:")
+        assert "detection(s)" not in out
 
     @pytest.mark.parametrize("defect", ["no-base-scale", "one-row-edge-mask", "null-base-scale"])
     def test_malformed_checkpoint_is_failure(self, defect, tmp_path, capsys):
@@ -194,6 +214,30 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
         assert "SNR grid" in err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["detect", "--cube", "absent.bin", "--min-margin", "nan"], "--min-margin"),
+        (["simulate", "--out", "cube.bin", "--snr", "nan"], "--snr"),
+        (["simulate", "--out", "cube.bin", "--snr", "inf"], "--snr"),
+        (["eval", "--trials", "0"], "--trials"),
+        (["eval", "--trials", "-1"], "--trials"),
+        (["eval", "--snr-grid", "nan"], "--snr-grid"),
+        (["eval", "--snr-grid", "0,-inf"], "--snr-grid"),
+    ])
+    def test_bad_numeric_argument_is_usage(self, argv, option, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {option}")
+        assert out == "" and not (tmp_path / "cube.bin").exists()
+
+    def test_eval_detector_classifier_codes(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        assert run(capsys, "eval", "--detectors", "kan:paper-eq9-m3", "--trials", "1")[0] == EXIT_USAGE
+        code, _, err = run(capsys, "eval", "--detectors", f"kan:{bad}", "--trials", "1")
+        assert code == EXIT_FAILURE
+        assert err.startswith(f"error: {bad}:")
 
     def test_empty_detectors_is_usage(self, capsys):
         code, _, _ = run(capsys, "eval", "--detectors", " , ")

@@ -112,9 +112,9 @@ class TestOrderStatistics:
     def test_matches_brute_force(self, rng):
         power = rng.exponential(1.0, (12, 9))
         window, guard, k = (5, 3), (1, 1), 4
-        os_values, (hr, hd) = order_statistic_map(power, window, guard, k)
+        stat, (hr, hd) = order_statistic_map(power, window, guard, k)
         assert (hr, hd) == (2, 1)
-        assert os_values.shape == (8, 7)
+        assert stat.shape == (8, 7)
         for i in range(8):
             for j in range(7):
                 block = power[i:i + 5, j:j + 3]
@@ -123,7 +123,7 @@ class TestOrderStatistics:
                     for b in range(3):
                         if not (1 <= a <= 3):  # guard rows (includes CUT)
                             refs.append(block[a, b])
-                assert os_values[i, j] == sorted(refs)[k - 1]
+                assert stat[i, j] == sorted(refs)[k - 1]
 
     def test_validation(self, rng):
         with pytest.raises(ValueError, match="smaller"):
@@ -145,8 +145,8 @@ class TestDetect:
         cfg = make_os_cfar_config(1e-4, window=(5, 3), guard=(1, 1))
         fires, (hr, hd) = os_cfar_fire_map(power, cfg)
         assert fires[30 - hr, 16 - hd]
-        os_values, _ = order_statistic_map(power, cfg.window, cfg.guard, cfg.k_rank)
-        assert cfg.alpha * os_values[30 - hr, 16 - hd] < 1e6
+        stat, _ = order_statistic_map(power, cfg.window, cfg.guard, cfg.k_rank)
+        assert cfg.alpha * stat[30 - hr, 16 - hd] < 1e6
 
     def test_spike_does_not_raise_own_threshold(self):
         power = np.ones((64, 32))
@@ -170,15 +170,33 @@ class TestDetect:
         for r, d in fired_cells(power, cfg):
             assert 8 <= r <= 55 and 3 <= d <= 28
 
-    def test_fire_map_reuses_sort(self, rng):
+    def test_fire_map_equals_sorted_statistic(self, rng):
         power = rng.exponential(1.0, (64, 32))
         cfg_a = make_os_cfar_config(1e-2, window=(5, 3), guard=(1, 1))
         cfg_b = make_os_cfar_config(1e-3, window=(5, 3), guard=(1, 1))
-        os_values, _ = order_statistic_map(power, cfg_a.window, cfg_a.guard, cfg_a.k_rank)
-        fires_a, _ = os_cfar_fire_map(power, cfg_a, os_values=os_values)
-        fires_b, _ = os_cfar_fire_map(power, cfg_b, os_values=os_values)
-        assert np.array_equal(fires_a, os_cfar_fire_map(power, cfg_a)[0])
+        stat, (hr, hd) = order_statistic_map(power, cfg_a.window, cfg_a.guard, cfg_a.k_rank)
+        cut = power[hr:hr + stat.shape[0], hd:hd + stat.shape[1]]
+        fires_a, _ = os_cfar_fire_map(power, cfg_a)
+        fires_b, _ = os_cfar_fire_map(power, cfg_b)
+        assert np.array_equal(fires_a, cut > cfg_a.alpha * stat)
+        assert np.array_equal(fires_b, cut > cfg_b.alpha * stat)
         assert fires_b.sum() <= fires_a.sum()  # stricter pfa fires less
+
+    def test_count_reaches_every_reference_cell(self):
+        # 33x11 window: 348 reference cells, one CUT, k_rank = n_ref, so the
+        # CUT fires only when all 348 are counted below it
+        cfg = OsCfarConfig(window=(33, 11), guard=(2, 1), k_rank=348, alpha=1.0)
+        assert cfg.n_ref == 348
+        power = np.ones((33, 11))
+        power[16, 5] = 2.0
+        fires, offset = os_cfar_fire_map(power, cfg)
+        assert fires.shape == (1, 1) and offset == (16, 5) and fires[0, 0]
+        power[0, 0] = 2.0  # one reference no longer below the CUT
+        assert not os_cfar_fire_map(power, cfg)[0][0, 0]
+
+    def test_map_smaller_than_window(self, rng):
+        with pytest.raises(ValueError, match="smaller"):
+            os_cfar_fire_map(rng.exponential(1.0, (16, 32)), make_os_cfar_config(1e-3))
 
 
 # non-negative power cells; 0 or at least 1e-3 so that scaling by 2^k for
@@ -196,6 +214,36 @@ class TestFireMapProperties:
         fires, offset = os_cfar_fire_map(power, cfg)
         scaled, scaled_offset = os_cfar_fire_map(power * 2.0**k, cfg)
         assert np.array_equal(fires, scaled) and offset == scaled_offset
+
+
+# cells with zeros and many ties: small integers or multiples of 1/4
+tied_cells = st.one_of(st.just(0.0), st.integers(0, 6).map(float),
+                       st.integers(0, 24).map(lambda q: q / 4))
+
+
+@st.composite
+def cfar_maps(draw):
+    """(power, window, guard): a map of tied cells at least one window big,
+    with a constant block planted that is 1e4 times brighter."""
+    window, guard = draw(st.sampled_from([((5, 3), (1, 1)), ((9, 5), (2, 1)), ((33, 11), (2, 1))]))
+    shape = (draw(st.integers(window[0], window[0] + 10)), draw(st.integers(window[1], window[1] + 6)))
+    power = draw(arrays(np.float64, shape, elements=tied_cells))
+    r0, d0 = draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))
+    power[r0:r0 + draw(st.integers(1, 6)), d0:d0 + draw(st.integers(1, 4))] = draw(tied_cells) * 1e4
+    return power, window, guard
+
+
+class TestCountedFireMap:
+    @settings(max_examples=150, deadline=None)
+    @given(case=cfar_maps(), pfa=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4, 1e-6]))
+    def test_equals_sorted_order_statistic(self, case, pfa):
+        power, window, guard = case
+        cfg = make_os_cfar_config(pfa, window=window, guard=guard)
+        stat, (hr, hd) = order_statistic_map(power, window, guard, cfg.k_rank)
+        cut = power[hr:hr + stat.shape[0], hd:hd + stat.shape[1]]
+        fires, offset = os_cfar_fire_map(power, cfg)
+        assert offset == (hr, hd)
+        assert np.array_equal(fires, cut > cfg.alpha * stat)
 
 
 class TestEmpiricalRates:

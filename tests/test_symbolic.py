@@ -287,6 +287,9 @@ class TestSerialization:
         path.write_text('{"format": "rdkan-checkpoint-v1"}')
         with pytest.raises(RuleError, match="rule file"):
             load_rule(path)
+        path.write_text('["rdkan-rule-v1"]')
+        with pytest.raises(RuleError, match="rule file"):
+            load_rule(path)
 
     @pytest.mark.parametrize(
         "defect, message",
@@ -300,6 +303,10 @@ class TestSerialization:
             ("spline-few-coeffs", "10 knots and 3 coeffs make no B-spline"),
             ("spline-knots-decrease", "knots do not strictly increase"),
             ("spline-non-finite", "non-finite"),
+            ("nan-param", "linear term on x0 has non-finite params"),
+            ("inf-param", "linear term on x0 has non-finite params"),
+            ("nan-bias", "non-finite expr bias"),
+            ("inf-bias", "non-finite expr bias"),
         ],
     )
     def test_rejects_malformed_rule(self, defect, message, tmp_path):
@@ -315,6 +322,10 @@ class TestSerialization:
             terms[0] = {"kind": "spline", "input": 0, "params": []}
         elif defect == "short-params":
             terms[0]["params"] = terms[0]["params"][:1]
+        elif defect in ("nan-param", "inf-param"):
+            doc["exprs"][1]["terms"][0]["params"][0] = float(defect[:3])
+        elif defect in ("nan-bias", "inf-bias"):
+            doc["exprs"][1]["bias"] = -float(defect[:3])
         elif defect in BAD_SPLINES:
             knots, coeffs = BAD_SPLINES[defect]
             terms[0] = {"kind": "spline", "input": 0, "params": [], "knots": knots, "coeffs": coeffs}
