@@ -16,7 +16,7 @@ from rdkan.radarsim import (
     sample_target,
     synth_if_cube,
 )
-from rdkan.rdmap import RDMap, SegmentFeature, compute_rd_map, extract_segment, histogram_feature
+from rdkan.rdmap import RDMap, SegmentFeature, compute_rd_map, histogram_feature, segment_cells
 from rdkan.oscfar import OsCfarConfig, solve_alpha, make_os_cfar_config, os_cfar_fire_map
 from rdkan.kan import KanModel, init_model, fit, fit_sparse, prune, fine_tune
 from rdkan.symbolic import DecisionRule, SymbolicExpr, snap, eval_rule, fit_decay_rates, builtin_rule

@@ -65,6 +65,21 @@ def _finite(option: str, value):
     return value
 
 
+def _check_train_options(args) -> None:
+    """Bad numeric train options are usage errors, caught before any data is built."""
+    for option, value in (("--l1", args.l1), ("--boost", args.boost)):
+        if not (np.isfinite(value) and value >= 0):
+            raise CliError(f"{option} must be finite and >= 0, got {value}", EXIT_USAGE)
+    for option, value in (("--n-train", args.n_train), ("--n-test", args.n_test),
+                          ("--few-shot", args.few_shot)):
+        if value < 2 or value % 2:
+            raise CliError(f"{option} must be even and >= 2 (classes are balanced), got {value}",
+                           EXIT_USAGE)
+    for option, value, least in (("--m-bins", args.m_bins, 2), ("--replay", args.replay, 1)):
+        if value < least:
+            raise CliError(f"{option} must be at least {least}, got {value}", EXIT_USAGE)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -99,12 +114,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_train_options(args)
     config = _config_from_args(args)
     scenario = _scenario(args.scenario)
     rng = np.random.default_rng(args.seed)
     X, y = datasets.build_labeled_segments(scenario, args.n_train, args.m_bins, rng, config)
     X_val, y_val = datasets.build_labeled_segments(scenario, args.n_test, args.m_bins, rng, config)
-    options = kan.TrainOptions(l1=args.l1)
 
     if args.fine_tune_from:
         model = kan.load_model(args.fine_tune_from)
@@ -115,10 +130,10 @@ def cmd_train(args) -> int:
             scenario, args.few_shot, args.m_bins, few_rng, config)
         replay = rng.choice(len(X), size=min(args.replay, len(X)), replace=False)
         result = kan.fine_tune(model, X[replay], y[replay], X_few, y_few,
-                               boost=args.boost, options=options, X_val=X_val, y_val=y_val)
+                               boost=args.boost, l1=args.l1, X_val=X_val, y_val=y_val)
         mode = f"fine-tuned from {args.fine_tune_from} on {args.few_shot} shots"
     else:
-        result = kan.fit_sparse(args.m_bins, X, y, X_val, y_val, options)
+        result = kan.fit_sparse(args.m_bins, X, y, X_val, y_val, args.l1)
         mode = f"trained on {len(X)} segments"
 
     kan.save_model(args.out, result.model)
@@ -239,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-train", type=int, default=datasets.DATASET_SIZES["train"])
     p.add_argument("--n-test", type=int, default=datasets.DATASET_SIZES["test"])
     p.add_argument("--scenario", default="in-distribution")
-    p.add_argument("--l1", type=float, default=kan.TrainOptions.l1)
+    p.add_argument("--l1", type=float, default=kan.L1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="radar config JSON")
     p.add_argument("--fine-tune-from", help="checkpoint to adapt instead of training fresh")

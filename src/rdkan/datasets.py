@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .radarsim import RadarConfig, derive_geometry, sample_target, synth_if_cube
-from .rdmap import SEGMENT_HALF, SEGMENT_SHAPE, compute_rd_map, extract_segment, histogram_feature
+from .rdmap import SEGMENT_HALF, SEGMENT_SHAPE, compute_rd_map, histogram_feature, segment_cells
 
 # Worst in-scenario target (85 m, band-floor RCS) sits at ~18 dB over this
 # floor after range compression; the median target is near 33 dB.
@@ -91,12 +91,12 @@ def _map_segments(scenario, m_bins, rng, config, geometry, n_per_class):
     rd = compute_rd_map(cube, window="hann")
 
     hr, hd = SEGMENT_HALF
+    n_r, n_d = rd.power.shape
     tc = (geometry.range_to_bin(target.range_m), geometry.velocity_to_bin(target.velocity_mps))
-    tx = []
-    for dr, dd in TARGET_OFFSETS[: n_per_class]:
-        r = int(np.clip(tc[0] + dr, hr, rd.power.shape[0] - hr - 1))
-        d = int(np.clip(tc[1] + dd, hd, rd.power.shape[1] - hd - 1))
-        tx.append(histogram_feature(extract_segment(rd, (r, d)), m_bins).histogram)
+    # jittered centers, clamped so each segment stays inside the map
+    centers = np.clip(np.add(tc, TARGET_OFFSETS[:n_per_class]),
+                      SEGMENT_HALF, (n_r - hr - 1, n_d - hd - 1))
+    tx = [histogram_feature(cells, m_bins).histogram for cells in segment_cells(rd.power, centers)]
 
     tiles = noise_tile_centers(rd.power.shape)
     # drop tiles whose segment could touch the target's neighborhood
@@ -105,10 +105,8 @@ def _map_segments(scenario, m_bins, rng, config, geometry, n_per_class):
     )
     tiles = tiles[clear]
     pick = rng.choice(len(tiles), size=n_per_class, replace=False)
-    nx = [
-        histogram_feature(extract_segment(rd, tuple(tiles[i])), m_bins).histogram
-        for i in pick
-    ]
+    nx = [histogram_feature(cells, m_bins).histogram
+          for cells in segment_cells(rd.power, tiles[pick])]
     return tx, nx
 
 

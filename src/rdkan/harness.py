@@ -13,6 +13,9 @@ ground-truth cells; the CFAR baseline outputs cells, so any firing CUT
 inside the truth box counts.  False alarms are detections (boxes or
 CUTs) touching no truth cell, normalized by the number of tested
 segments or CUTs.
+
+The runtime-scaling functions behind `rdkan bench` and gate 11 time the
+sweep and the OS reference sort on fixed seeded noise maps.
 """
 
 from __future__ import annotations
@@ -214,7 +217,6 @@ def run_monte_carlo(
     seed: int = 0,
     scenario: TargetScenario = IN_DISTRIBUTION,
     config: RadarConfig | None = None,
-    progress=None,
 ) -> EvalReport:
     """Common-random-numbers sweep over SNR on Hann-windowed maps; detector_ids
     holds ids or detector objects (anything with a trial method)."""
@@ -246,8 +248,6 @@ def run_monte_carlo(
                 hits[i, j] += hit
                 falses[i, j] += n_false
                 tested[i, j] += n_tested
-        if progress is not None:
-            progress(t + 1, n_trials)
 
     return EvalReport(
         detector_ids=ids,
@@ -273,7 +273,7 @@ def _timed(fn, repeats: int = 3) -> float:
     return best
 
 
-def sweep_runtime_scaling(n_rows_list=(64, 128, 256, 512), n_cols: int = 128, seed: int = 0):
+def sweep_runtime_scaling(n_rows_list=(64, 128, 256, 512)):
     """Sweep-classifier runtime versus tested segment count.
 
     Returns dict with per-size timings and the log-log slope; the sweep
@@ -281,11 +281,11 @@ def sweep_runtime_scaling(n_rows_list=(64, 128, 256, 512), n_cols: int = 128, se
     near 1.
     """
     rule = builtin_rule("paper-eq7-m10")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     geometry = derive_geometry(RadarConfig())
     n_segments, times = [], []
     for rows in n_rows_list:
-        power = rng.exponential(1.0, size=(rows, n_cols))
+        power = rng.exponential(1.0, size=(rows, 128))
         rd = RDMap(power=power, geometry=geometry)
         n_segments.append(len(sweep_classify(rd, rule).centers))  # also warms up
         times.append(_timed(lambda: sweep_classify(rd, rule)))
@@ -293,19 +293,15 @@ def sweep_runtime_scaling(n_rows_list=(64, 128, 256, 512), n_cols: int = 128, se
     return {"n_segments": n_segments, "seconds": times, "exponent": slope}
 
 
-def oscfar_runtime_scaling(
-    windows=((9, 5), (17, 7), (25, 9), (33, 11)),
-    map_shape=(256, 128),
-    seed: int = 0,
-):
+def oscfar_runtime_scaling(windows=((9, 5), (17, 7), (25, 9), (33, 11))):
     """Runtime of the OS reference sort, order_statistic_map (not the
     detector's counted fire map), versus reference-set size.
 
     The per-CUT cost is a full sort of n_ref cells, so runtime should
     track n_ref*log2(n_ref); returns timings and that log-log slope.
     """
-    rng = np.random.default_rng(seed)
-    power = rng.exponential(1.0, size=map_shape)
+    rng = np.random.default_rng(0)
+    power = rng.exponential(1.0, size=(256, 128))
     n_refs, times = [], []
     for win in windows:
         cfg = make_os_cfar_config(1e-3, window=win, guard=(2, 1))

@@ -9,11 +9,14 @@ with cubic B-splines on a 3-interval grid per input.  Outputs are the
 two hypothesis logits; training is full-batch quasi-Newton (L-BFGS,
 memory 10, Wolfe line search) on softmax cross-entropy with a small
 smoothed-L1 penalty on edge activations so uninformative edges shrink
-below the prune thresholds.  Gradients are computed analytically.
+below the prune thresholds.  Gradients are computed analytically.  The
+penalty weight l1 is the only training argument; the iteration budget
+(MAX_ITER, with one grid re-fit at GRID_REFRESH_AT) is fixed.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +29,9 @@ from scipy.special import expit
 # training and pruning constants
 GRID_PAD = 0.01             # grid margin beyond the data range, fraction of span
 GRID_REFIT_POINTS = 64      # samples for the least-squares re-fit onto a new grid
+MAX_ITER = 200              # L-BFGS iterations per fit ...
+GRID_REFRESH_AT = 100       # ... with one grid re-fit after this many
+L1 = 8e-3                   # default activation sparsity weight
 STOP_TOL = 1e-7             # stop when the loss falls by less than this ...
 STOP_PATIENCE = 5           # ... over this many iterations
 LBFGS_MEMORY = 10
@@ -139,16 +145,7 @@ class KanModel:
         return np.flatnonzero(self.edge_mask.any(axis=0))
 
     def copy(self) -> "KanModel":
-        return KanModel(
-            knots=self.knots.copy(),
-            coeffs=self.coeffs.copy(),
-            base_scale=self.base_scale.copy(),
-            spline_scale=self.spline_scale.copy(),
-            edge_mask=self.edge_mask.copy(),
-            order=self.order,
-            grid_count=self.grid_count,
-            meta=dict(self.meta),
-        )
+        return copy.deepcopy(self)
 
 
 def init_model(n_in: int, rng: np.random.Generator, coeff_std: float = 0.1) -> KanModel:
@@ -236,13 +233,6 @@ def accuracy(model: KanModel, X, y) -> float:
 
 
 @dataclass
-class TrainOptions:
-    max_iter: int = 200
-    grid_refresh_at: int = 100   # one mid-training grid re-fit
-    l1: float = 8e-3             # activation sparsity weight
-
-
-@dataclass
 class TrainResult:
     model: KanModel
     loss_history: list
@@ -308,14 +298,14 @@ class _Stop(Exception):
     pass
 
 
-def _run_lbfgs(model, X, y, opts, maxiter, sample_weight, history):
+def _run_lbfgs(model, X, y, l1, maxiter, sample_weight, history):
     """One L-BFGS leg on fixed grids; history accumulates per-iteration loss."""
     state = {"theta": _pack(model), "f": np.inf}
     design = _design_stack(model, X)  # grids are fixed for the whole leg
 
     def objective(theta):
         _unpack(model, theta)
-        loss, (dc, db, ds) = loss_and_grad(model, X, y, opts.l1, sample_weight, design)
+        loss, (dc, db, ds) = loss_and_grad(model, X, y, l1, sample_weight, design)
         if not np.isfinite(loss):
             raise _Stop("diverged")
         if loss < state["f"]:
@@ -352,16 +342,16 @@ def fit(
     model: KanModel,
     X, y,
     X_val=None, y_val=None,
-    options: TrainOptions | None = None,
+    l1: float = L1,
     sample_weight=None,
 ) -> TrainResult:
     """Train in place and return the fitted model with accuracies.
 
     Grids are set to the empirical range of each input before training
-    and re-fitted once mid-training.  A non-finite loss triggers a
-    restart from a damped re-initialization, at most MAX_RESTARTS times.
+    and re-fitted once after GRID_REFRESH_AT of at most MAX_ITER
+    iterations.  A non-finite loss triggers a restart from a damped
+    re-initialization, at most MAX_RESTARTS times.
     """
-    opts = options or TrainOptions()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.ndim != 2 or X.shape[1] != model.n_in:
@@ -383,11 +373,10 @@ def fit(
         try:
             update_grids(model, X, refit=attempt == 0 and bool(model.meta.get("trained")))
             history: list = []
-            first = min(opts.grid_refresh_at, opts.max_iter)
-            converged = _run_lbfgs(model, X, y, opts, first, weight, history)
-            if not converged and opts.max_iter > first:
+            converged = _run_lbfgs(model, X, y, l1, GRID_REFRESH_AT, weight, history)
+            if not converged:
                 update_grids(model, X, refit=True)
-                _run_lbfgs(model, X, y, opts, opts.max_iter - first, weight, history)
+                _run_lbfgs(model, X, y, l1, MAX_ITER - GRID_REFRESH_AT, weight, history)
             break
         except TrainingError:
             if attempt == MAX_RESTARTS:
@@ -414,7 +403,7 @@ def fit_sparse(
     n_in: int,
     X, y,
     X_val=None, y_val=None,
-    options: TrainOptions | None = None,
+    l1: float = L1,
 ) -> TrainResult:
     """Deterministic train-prune-refit recipe yielding a sparse model.
 
@@ -431,13 +420,13 @@ def fit_sparse(
     bit.
     """
     model = init_model(n_in, np.random.default_rng(0), coeff_std=0.0)
-    result = fit(model, X, y, X_val, y_val, options)
+    result = fit(model, X, y, X_val, y_val, l1)
     for _ in range(PRUNE_ROUNDS):
         pruned = prune(model, X)
         if (pruned.edge_mask == model.edge_mask).all():
             break
         model = pruned
-        result = fit(model, X, y, X_val, y_val, options)
+        result = fit(model, X, y, X_val, y_val, l1)
 
     def _score(res):
         return res.train_accuracy if res.val_accuracy is None else res.val_accuracy
@@ -450,7 +439,7 @@ def fit_sparse(
         weakest = active[np.argmin(strength[active])]
         trial = result.model.copy()
         trial.edge_mask[:, weakest] = False
-        candidate = fit(trial, X, y, X_val, y_val, options)
+        candidate = fit(trial, X, y, X_val, y_val, l1)
         if _score(candidate) < _score(result) - DROP_ACC_SLACK:
             break
         result = candidate
@@ -462,7 +451,7 @@ def fine_tune(
     X_pre, y_pre,
     X_few, y_few,
     boost: float = 10.0,
-    options: TrainOptions | None = None,
+    l1: float = L1,
     X_val=None, y_val=None,
 ) -> TrainResult:
     """Continue training on replay data plus weight-boosted few-shot data.
@@ -477,7 +466,7 @@ def fine_tune(
     X = np.vstack([np.asarray(X_pre, dtype=float), X_few])
     y = np.concatenate([np.asarray(y_pre, dtype=int), np.asarray(y_few, dtype=int)])
     weight = np.concatenate([np.ones(len(y_pre)), np.full(len(y_few), float(boost))])
-    return fit(model, X, y, X_val=X_val, y_val=y_val, options=options, sample_weight=weight)
+    return fit(model, X, y, X_val=X_val, y_val=y_val, l1=l1, sample_weight=weight)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,11 @@ with N reference cells, which is solved for alpha by bisection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from rdkan.rdmap import _as_power
 
 ALPHA_REL_TOL = 1e-10   # relative bracket width at which solve_alpha stops
 
@@ -87,15 +85,15 @@ def solve_alpha(pfa: float, n_ref: int = 104, k_rank: int = 78) -> float:
     return 0.5 * (lo + hi)
 
 
-def make_os_cfar_config(pfa, window=(17, 7), guard=(2, 1), k_rank=None) -> OsCfarConfig:
+def make_os_cfar_config(pfa, window=(17, 7), guard=(2, 1)) -> OsCfarConfig:
+    """Config at the conventional rank (default_k_rank), alpha solved for pfa."""
     if window[0] % 2 == 0 or window[1] % 2 == 0:
         raise ValueError(f"window must be odd per axis, got {window}")
     if 2 * guard[0] + 1 > window[0] or 2 * guard[1] + 1 > window[1]:
         raise ValueError(f"guard {guard} does not fit window {window}")
-    probe = OsCfarConfig(window=tuple(window), guard=tuple(guard), k_rank=1, pfa=pfa)
-    k = default_k_rank(probe.n_ref) if k_rank is None else int(k_rank)
-    alpha = solve_alpha(pfa, probe.n_ref, k)
-    return OsCfarConfig(window=tuple(window), guard=tuple(guard), k_rank=k, pfa=pfa, alpha=alpha)
+    config = OsCfarConfig(window=tuple(window), guard=tuple(guard), pfa=pfa)
+    k = default_k_rank(config.n_ref)
+    return replace(config, k_rank=k, alpha=solve_alpha(pfa, config.n_ref, k))
 
 
 @lru_cache(maxsize=32)
@@ -141,7 +139,6 @@ def os_cfar_fire_map(power, config: OsCfarConfig):
     count decides bit for bit as a sort would.  fires[i, j] refers to
     power[i + hr, j + hd]; edge cells without a full window are never tested.
     """
-    power = _as_power(power)
     (n_r, n_d), (hr, hd), cols = _interior(power.shape, config.window, config.guard, config.k_rank)
     cut = power[hr:hr + n_r, hd:hd + n_d]
     scaled = config.alpha * power

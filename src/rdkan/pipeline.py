@@ -15,9 +15,8 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .rdmap import RDMap, SEGMENT_HALF, SEGMENT_SHAPE, SegmentError, segment_histogram_map
+from .rdmap import RDMap, SEGMENT_HALF, SEGMENT_SHAPE, segment_cells, segment_histogram_map
 from .symbolic import DecisionRule, rule_scores
 
 NMS_IOU_THRESHOLD = 0.40
@@ -78,7 +77,7 @@ class SweepResult:
 
 def sweep_classify(rd: RDMap, classifier: DecisionRule) -> SweepResult:
     """Score every full segment position; margins are h1 - h0."""
-    centers, X, degenerate = segment_histogram_map(rd, classifier.m_bins)
+    centers, X, degenerate = segment_histogram_map(rd.power, classifier.m_bins)
     scores = rule_scores(classifier, X)
     return SweepResult(centers=centers, margins=scores[:, 1] - scores[:, 0], degenerate=degenerate)
 
@@ -91,19 +90,17 @@ def recenter(rd: RDMap, centers) -> np.ndarray:
     current segment (first in row-major order on ties), clamped so the
     segment stays inside the map, and only if that cell is strictly
     stronger than the current center.  A center that stops moving is
-    done; the rest take at most RECENTER_STEPS steps.
+    done; the rest take at most RECENTER_STEPS steps.  A starting segment
+    that does not fit in the map raises SegmentError (see segment_cells).
     """
     power = rd.power
     hr, hd = SEGMENT_HALF
     n_r, n_d = power.shape
     cur = np.array(centers, dtype=np.intp).reshape(-1, 2)
-    if np.any((cur < SEGMENT_HALF) | (cur >= (n_r - hr, n_d - hd))):
-        raise SegmentError(f"center too close to the map edge for a {SEGMENT_SHAPE} segment")
-    windows = sliding_window_view(power, SEGMENT_SHAPE)
     walking = np.arange(len(cur))
     for _ in range(RECENTER_STEPS):
         r, d = cur[walking, 0], cur[walking, 1]
-        flat = windows[r - hr, d - hd].reshape(-1, np.prod(SEGMENT_SHAPE)).argmax(axis=1)
+        flat = segment_cells(power, cur[walking]).reshape(-1, np.prod(SEGMENT_SHAPE)).argmax(axis=1)
         pr = np.clip(r - hr + flat // SEGMENT_SHAPE[1], hr, n_r - hr - 1)
         pd = np.clip(d - hd + flat % SEGMENT_SHAPE[1], hd, n_d - hd - 1)
         moves = power[pr, pd] > power[r, d]

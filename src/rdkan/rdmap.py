@@ -5,6 +5,9 @@ square-law detection and an fftshift along Doppler so zero velocity sits
 in the center column.  Detection features are per-segment histograms:
 a 17x7 block of cells is min-max normalized and binned into M equal-width
 bins on [0, 1]; bin heights are counts divided by the cell count.
+
+The kernels take power arrays.  segment_cells is the one gather of the
+segments at given centers, and the one check that a segment fits.
 """
 
 from __future__ import annotations
@@ -58,21 +61,18 @@ def compute_rd_map(cube: IfDataCube, window: str | None = None) -> RDMap:
     return RDMap(power=power, geometry=derive_geometry(cube.config))
 
 
-def _as_power(m):
-    return m.power if isinstance(m, RDMap) else np.asarray(m)
-
-
-def extract_segment(rd, center) -> np.ndarray:
-    """Copy of the segment centered on (range_bin, doppler_bin)."""
-    power = _as_power(rd)
+def segment_cells(power, centers) -> np.ndarray:
+    """Copies of the segments at an (n, 2) array of (range_bin, doppler_bin)
+    centers, shaped (n, *SEGMENT_SHAPE); a segment that does not fit in the
+    map raises SegmentError."""
     hr, hd = SEGMENT_HALF
-    r, d = int(center[0]), int(center[1])
-    if not (hr <= r < power.shape[0] - hr and hd <= d < power.shape[1] - hd):
-        raise SegmentError(
-            f"center {center} too close to the map edge for a {SEGMENT_SHAPE} segment "
-            f"on a {power.shape} map"
-        )
-    return power[r - hr:r + hr + 1, d - hd:d + hd + 1].copy()
+    centers = np.asarray(centers, dtype=np.intp).reshape(-1, 2)
+    n_r, n_d = power.shape
+    outside = np.any((centers < SEGMENT_HALF) | (centers >= (n_r - hr, n_d - hd)), axis=1)
+    if outside.any():
+        raise SegmentError(f"center {centers[outside][0].tolist()} too close to the map edge "
+                           f"for a {SEGMENT_SHAPE} segment on a {power.shape} map")
+    return sliding_window_view(power, SEGMENT_SHAPE)[centers[:, 0] - hr, centers[:, 1] - hd]
 
 
 @dataclass
@@ -113,14 +113,13 @@ def histogram_feature(cells, m_bins) -> SegmentFeature:
     return SegmentFeature(m_bins, X[0], bool(degenerate[0]))
 
 
-def segment_histogram_map(rd, m_bins):
-    """Histograms of every full segment position, vectorized.
+def segment_histogram_map(power, m_bins):
+    """Histograms of every full segment position of a power map, vectorized.
 
     Returns (centers (n, 2) int, X (n, m_bins) float, degenerate (n,) bool)
     where centers run row-major over all positions whose segment fits in
     the map.
     """
-    power = _as_power(rd)
     hr, hd = SEGMENT_HALF
     if power.shape[0] < SEGMENT_SHAPE[0] or power.shape[1] < SEGMENT_SHAPE[1]:
         raise SegmentError(f"map {power.shape} smaller than segment {SEGMENT_SHAPE}")

@@ -350,8 +350,8 @@ def _term_to_doc(term: Term) -> dict:
 
 
 def _term_from_doc(doc: dict) -> Term:
-    return Term(doc["kind"], int(doc["input"]), tuple(doc.get("params", ())),
-                tuple(doc.get("knots", ())), tuple(doc.get("coeffs", ())))
+    params, knots, coeffs = (tuple(map(float, doc.get(k, ()))) for k in ("params", "knots", "coeffs"))
+    return Term(doc["kind"], int(doc["input"]), params, knots, coeffs)
 
 
 def save_rule(path, rule: DecisionRule) -> None:
@@ -392,7 +392,9 @@ def load_rule(path) -> DecisionRule:
             for e in doc["exprs"]
         )
         name = doc["name"]
-    except (KeyError, TypeError) as err:
+    except RuleError as err:
+        raise RuleError(f"{path}: {err}") from None
+    except (KeyError, TypeError, ValueError) as err:
         raise RuleError(f"{path}: malformed rule: {err!r}") from None
     if len(exprs) != 2:
         raise RuleError(f"{path}: expected 2 exprs (h0, h1), found {len(exprs)}")

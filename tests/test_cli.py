@@ -139,7 +139,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "defect", ["input-out-of-range", "one-expr", "spline-without-knots", "spline-short-knots",
-                   "nan-param", "inf-bias"])
+                   "nan-param", "inf-bias", "string-param", "string-bias", "string-m-bins",
+                   "unknown-kind"])
     def test_malformed_rule_is_failure(self, defect, tmp_path, capsys):
         cube_path = tmp_path / "c.bin"
         assert run(capsys, "simulate", "--out", str(cube_path), "--seed", "0")[0] == 0
@@ -156,6 +157,14 @@ class TestExitCodes:
             doc["exprs"][1]["terms"][0]["params"][0] = float("nan")  # the h1 slope
         elif defect == "inf-bias":
             doc["exprs"][0]["bias"] = float("inf")
+        elif defect == "string-param":
+            doc["exprs"][1]["terms"][0]["params"][0] = "abc"
+        elif defect == "string-bias":
+            doc["exprs"][0]["bias"] = "abc"
+        elif defect == "string-m-bins":
+            doc["m_bins"] = "ten"
+        elif defect == "unknown-kind":
+            doc["exprs"][1]["terms"][0]["kind"] = "cubic"
         else:
             # 2 knots and 2 coeffs imply no B-spline
             doc["exprs"][0]["terms"][0] = {"kind": "spline", "input": 0, "params": [],
@@ -223,13 +232,24 @@ class TestExitCodes:
         (["eval", "--trials", "-1"], "--trials"),
         (["eval", "--snr-grid", "nan"], "--snr-grid"),
         (["eval", "--snr-grid", "0,-inf"], "--snr-grid"),
+        (["train", "--out", "m.json", "--l1", "nan"], "--l1"),
+        (["train", "--out", "m.json", "--l1", "-1"], "--l1"),
+        (["train", "--out", "m.json", "--boost", "inf"], "--boost"),
+        (["train", "--out", "m.json", "--boost", "-0.5"], "--boost"),
+        (["train", "--out", "m.json", "--n-train", "0"], "--n-train"),
+        (["train", "--out", "m.json", "--n-train", "41"], "--n-train"),
+        (["train", "--out", "m.json", "--n-test", "1"], "--n-test"),
+        (["train", "--out", "m.json", "--few-shot", "7"], "--few-shot"),
+        (["train", "--out", "m.json", "--m-bins", "1"], "--m-bins"),
+        (["train", "--out", "m.json", "--replay", "0"], "--replay"),
     ])
     def test_bad_numeric_argument_is_usage(self, argv, option, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert err.startswith(f"error: {option}")
-        assert out == "" and not (tmp_path / "cube.bin").exists()
+        assert out == ""
+        assert not (tmp_path / "cube.bin").exists() and not (tmp_path / "m.json").exists()
 
     def test_eval_detector_classifier_codes(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from rdkan.kan import (
     KanModel,
     PruneError,
-    TrainOptions,
     _pack,
     _unpack,
     accuracy,
@@ -34,9 +33,6 @@ from rdkan.kan import (
     update_grids,
 )
 from rdkan.symbolic import rule_from_model, rule_scores
-
-FAST_OPTS = TrainOptions(max_iter=80, grid_refresh_at=40)
-
 
 def toy_problem(n=300, seed=0, lo=0.6):
     """Two inputs, class decided by x0 alone; x1 is a distractor."""
@@ -188,7 +184,7 @@ class TestFit:
         X, y = toy_problem()
         Xv, yv = toy_problem(seed=1)
         model = init_model(2, rng)
-        result = fit(model, X, y, Xv, yv, options=FAST_OPTS)
+        result = fit(model, X, y, Xv, yv)
         assert result.train_accuracy == 1.0
         assert result.val_accuracy == 1.0
         assert result.n_iter > 0
@@ -221,8 +217,8 @@ class TestFit:
 
     def test_fit_sparse_is_deterministic_and_sparse(self):
         X, y = toy_problem(400)
-        a = fit_sparse(2, X, y, options=FAST_OPTS)
-        b = fit_sparse(2, X, y, options=FAST_OPTS)
+        a = fit_sparse(2, X, y)
+        b = fit_sparse(2, X, y)
         assert np.array_equal(a.model.coeffs, b.model.coeffs)
         assert np.array_equal(a.model.edge_mask, b.model.edge_mask)
         assert a.train_accuracy == 1.0
@@ -267,7 +263,7 @@ class TestFineTune:
         # pretrain with classes split at ~0.5, then drift class 1 down
         X, y = toy_problem(400)
         model = init_model(2, rng)
-        fit(model, X, y, options=FAST_OPTS)
+        fit(model, X, y)
         drift = np.column_stack([
             np.random.default_rng(3).uniform(0.42, 0.52, 200),
             np.random.default_rng(4).uniform(0, 1, 200),
@@ -275,8 +271,7 @@ class TestFineTune:
         before = np.mean(predict(model, drift) == 1)
         shots_x = np.column_stack([np.linspace(0.43, 0.52, 8), np.full(8, 0.5)])
         replay_idx = np.random.default_rng(5).choice(len(X), 120, replace=False)
-        fine_tune(model, X[replay_idx], y[replay_idx], shots_x, np.ones(8, int),
-                  options=FAST_OPTS)
+        fine_tune(model, X[replay_idx], y[replay_idx], shots_x, np.ones(8, int))
         after = np.mean(predict(model, drift) == 1)
         assert after > before
         assert after > 0.8
@@ -293,7 +288,7 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path, rng):
         X, y = toy_problem(200)
         model = init_model(2, rng)
-        fit(model, X, y, options=FAST_OPTS)
+        fit(model, X, y)
         model.edge_mask[1, 1] = False
         path = tmp_path / "model.json"
         save_model(path, model)

@@ -26,8 +26,8 @@ from rdkan.rdmap import (
     RDMap,
     SegmentError,
     compute_rd_map,
-    extract_segment,
     histogram_feature,
+    segment_cells,
 )
 from rdkan.symbolic import builtin_rule, rule_from_model, rule_scores
 
@@ -211,7 +211,7 @@ class TestSweep:
         assert len(sweep.centers) == (40 - 16) * (20 - 6)
         for i in rng.choice(len(sweep.centers), 5, replace=False):
             r, d = sweep.centers[i]
-            feat = histogram_feature(extract_segment(rd, (r, d)), 10)
+            feat = histogram_feature(segment_cells(rd.power, [(r, d)])[0], 10)
             s = rule_scores(rule, feat.histogram[None])[0]
             assert sweep.margins[i] == pytest.approx(s[1] - s[0], abs=1e-12)
 
@@ -220,7 +220,7 @@ class TestSweep:
         model = init_model(10, rng)
         rd = as_rd(rng.exponential(1.0, (40, 20)))
         sweep = sweep_classify(rd, rule_from_model(model, "kan"))
-        feat = histogram_feature(extract_segment(rd, tuple(sweep.centers[0])), 10)
+        feat = histogram_feature(segment_cells(rd.power, sweep.centers[:1])[0], 10)
         logits = forward(model, feat.histogram[None])[0]
         assert sweep.margins[0] == pytest.approx(logits[1] - logits[0], abs=1e-10)
 
@@ -268,7 +268,7 @@ class TestDetect:
         dets = detect(rd, classifier)
         assert dets
         for det in dets:
-            feat = histogram_feature(extract_segment(rd, det.center), 10)
+            feat = histogram_feature(segment_cells(rd.power, [det.center])[0], 10)
             s = rule_scores(classifier, feat.histogram[None])[0]
             assert det.margin == s[1] - s[0]
 

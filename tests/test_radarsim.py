@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rdkan.radarsim import (
     C,
@@ -315,3 +316,22 @@ class TestSceneFileProperties:
         scene_to_json(path, scene, config, noise_sigma=noise_sigma, snr_db=snr_db)
         # repr tells -0.0 from 0.0 and shows every float digit
         assert repr(scene_from_json(path)) == repr((scene, config, noise_sigma, snr_db))
+
+
+class TestCubeFileProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(samples=arrays(np.complex64, (8, 4), elements=st.complex_numbers(
+               allow_nan=False, allow_infinity=False, width=64)),
+           noise_sigma=st.floats(0.0, 1e6))
+    def test_round_trip_is_byte_exact(self, samples, noise_sigma, tmp_path_factory):
+        # complex64 on disk, so complex64-representable samples survive bit for bit
+        config = RadarConfig(n_samples=8, n_chirps=4)
+        cube = IfDataCube(samples=samples.astype(np.complex128), config=config,
+                          noise_sigma=noise_sigma)
+        path = tmp_path_factory.mktemp("cube") / "dwell.rdc"
+        save_cube(path, cube)
+        back = load_cube(path)
+        assert back.config == config
+        assert back.noise_sigma == noise_sigma
+        assert back.samples.dtype == np.complex128
+        assert back.samples.tobytes() == cube.samples.tobytes()

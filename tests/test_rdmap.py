@@ -8,16 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rdkan.radarsim import IfDataCube, RadarConfig, synth_if_cube
+from rdkan.radarsim import IfDataCube, RadarConfig, derive_geometry, synth_if_cube
 from rdkan.rdmap import (
     SEGMENT_HALF,
     SEGMENT_SHAPE,
     SegmentError,
+    RDMap,
     compute_rd_map,
-    extract_segment,
     histogram_feature,
     load_rd_map,
     save_rd_map,
+    segment_cells,
     segment_histogram_map,
 )
 
@@ -98,19 +99,46 @@ class TestSegments:
         assert SEGMENT_SHAPE == (17, 7)
         assert SEGMENT_HALF == (8, 3)
 
-    def test_extract_segment_is_a_copy(self, rng):
+    def test_segment_cells_is_a_copy(self, rng):
         power = rng.exponential(1.0, (40, 30))
-        seg = extract_segment(power, (20, 15))
-        assert seg.shape == SEGMENT_SHAPE
-        assert np.array_equal(seg, power[12:29, 12:19])
-        seg[0, 0] = -1.0
+        cells = segment_cells(power, [(20, 15)])
+        assert cells.shape == (1,) + SEGMENT_SHAPE
+        assert np.array_equal(cells[0], power[12:29, 12:19])
+        cells[0, 0, 0] = -1.0
         assert power[12, 12] >= 0
 
     @pytest.mark.parametrize("center", [(7, 10), (248, 10), (100, 2), (100, 125), (-1, 5)])
-    def test_extract_segment_edge_centers_rejected(self, center, rng):
+    def test_segment_cells_edge_centers_rejected(self, center, rng):
         power = rng.exponential(1.0, (256, 128))
         with pytest.raises(SegmentError, match="edge"):
-            extract_segment(power, center)
+            segment_cells(power, [(20, 15), center])
+
+
+class TestSegmentCellsProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(17, 40), st.integers(7, 20)), data=st.data())
+    def test_equals_slice_copies(self, shape, data):
+        power = np.arange(shape[0] * shape[1], dtype=float).reshape(shape)
+        hr, hd = SEGMENT_HALF
+        last_r, last_d = shape[0] - hr - 1, shape[1] - hd - 1
+        inside = st.tuples(st.integers(hr, last_r), st.integers(hd, last_d))
+        corners = [(hr, hd), (hr, last_d), (last_r, hd), (last_r, last_d)]
+        centers = data.draw(st.lists(inside, max_size=8)) + corners
+        cells = segment_cells(power, np.array(centers))
+        assert cells.shape == (len(centers),) + SEGMENT_SHAPE
+        for seg, (r, d) in zip(cells, centers):
+            assert np.array_equal(seg, power[r - hr:r + hr + 1, d - hd:d + hd + 1])
+        cells[:] = -1.0
+        assert power.min() == 0.0
+
+        r, d = data.draw(inside)
+        for outside in [(hr - 1, d), (last_r + 1, d), (r, hd - 1), (r, last_d + 1)]:
+            with pytest.raises(SegmentError):
+                segment_cells(power, np.array([(r, d), outside]))
+
+    def test_no_centers(self):
+        cells = segment_cells(np.ones((20, 10)), np.empty((0, 2), int))
+        assert cells.shape == (0,) + SEGMENT_SHAPE
 
 
 class TestHistogramFeature:
@@ -209,7 +237,7 @@ class TestHistogramProperties:
     def test_map_rows_equal_segment_features(self, power, m_bins):
         centers, X, degen = segment_histogram_map(power, m_bins)
         for i, center in enumerate(centers):
-            feat = histogram_feature(extract_segment(power, center), m_bins)
+            feat = histogram_feature(segment_cells(power, [center])[0], m_bins)
             assert np.array_equal(X[i], feat.histogram)
             assert degen[i] == feat.degenerate
 
@@ -222,7 +250,7 @@ class TestSegmentHistogramMap:
         expect_centers = [(r, d) for r in range(hr, 25 - hr) for d in range(hd, 13 - hd)]
         assert [tuple(c) for c in centers] == expect_centers
         for i, (r, d) in enumerate(expect_centers):
-            feat = histogram_feature(extract_segment(power, (r, d)), 10)
+            feat = histogram_feature(segment_cells(power, [(r, d)])[0], 10)
             assert np.array_equal(X[i], feat.histogram), (r, d)
             assert degen[i] == feat.degenerate
 
@@ -279,3 +307,19 @@ class TestSerialization:
         save_rd_map(base, rd)
         with pytest.raises(ValueError, match="non-finite cells"):
             load_rd_map(base)
+
+
+class TestRdMapFileProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(cells=arrays(np.float32, (8, 4),
+                        elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
+    def test_round_trip_is_byte_exact(self, cells, tmp_path_factory):
+        # float32 on disk, so a float32-representable map survives bit for bit
+        rd = RDMap(power=cells.astype(np.float64),
+                   geometry=derive_geometry(RadarConfig(n_samples=8, n_chirps=4)))
+        base = tmp_path_factory.mktemp("map") / "map"
+        save_rd_map(base, rd)
+        back = load_rd_map(base)
+        assert back.geometry == rd.geometry
+        assert back.power.dtype == np.float64
+        assert back.power.tobytes() == rd.power.tobytes()

@@ -307,6 +307,10 @@ class TestSerialization:
             ("inf-param", "linear term on x0 has non-finite params"),
             ("nan-bias", "non-finite expr bias"),
             ("inf-bias", "non-finite expr bias"),
+            ("string-param", "could not convert string to float"),
+            ("string-bias", "could not convert string to float"),
+            ("string-m-bins", "invalid literal for int"),
+            ("unknown-kind", "unknown term kind 'cubic'"),
         ],
     )
     def test_rejects_malformed_rule(self, defect, message, tmp_path):
@@ -326,14 +330,23 @@ class TestSerialization:
             doc["exprs"][1]["terms"][0]["params"][0] = float(defect[:3])
         elif defect in ("nan-bias", "inf-bias"):
             doc["exprs"][1]["bias"] = -float(defect[:3])
+        elif defect == "string-param":
+            doc["exprs"][1]["terms"][0]["params"][0] = "abc"
+        elif defect == "string-bias":
+            doc["exprs"][0]["bias"] = "abc"
+        elif defect == "string-m-bins":
+            doc["m_bins"] = "ten"
+        elif defect == "unknown-kind":
+            terms[0]["kind"] = "cubic"
         elif defect in BAD_SPLINES:
             knots, coeffs = BAD_SPLINES[defect]
             terms[0] = {"kind": "spline", "input": 0, "params": [], "knots": knots, "coeffs": coeffs}
         else:
             del doc["exprs"][0]["terms"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(RuleError, match=message):
+        with pytest.raises(RuleError, match=message) as err:
             load_rule(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_text_rendering(self):
         rule = builtin_rule("paper-eq8-m5")
