@@ -299,6 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise CliError(f"--seed must be >= 0, got {args.seed}", EXIT_USAGE)
         return args.func(args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .radarsim import RadarConfig, derive_geometry, sample_target, synth_if_cube
-from .rdmap import SEGMENT_HALF, SEGMENT_SHAPE, compute_rd_map, histogram_feature, segment_cells
+from .rdmap import SEGMENT_HALF, SEGMENT_SHAPE, bin_rows, compute_rd_map, segment_cells
 
 # Worst in-scenario target (85 m, band-floor RCS) sits at ~18 dB over this
 # floor after range compression; the median target is near 33 dB.
@@ -84,19 +84,17 @@ def noise_tile_centers(map_shape=(256, 128)) -> np.ndarray:
 
 
 def _map_segments(scenario, m_bins, rng, config, geometry, n_per_class):
-    """One synthesized map -> (target_histograms, noise_histograms)."""
+    """One synthesized map -> (2 * n_per_class, m_bins) histograms, target
+    and noise rows alternating, target first."""
     scene = sample_scene(scenario, rng)
     target = scene[0]
     cube = synth_if_cube(scene, config, noise_sigma=scenario.noise_sigma, rng=rng)
     rd = compute_rd_map(cube, window="hann")
 
-    hr, hd = SEGMENT_HALF
-    n_r, n_d = rd.power.shape
     tc = (geometry.range_to_bin(target.range_m), geometry.velocity_to_bin(target.velocity_mps))
     # jittered centers, clamped so each segment stays inside the map
     centers = np.clip(np.add(tc, TARGET_OFFSETS[:n_per_class]),
-                      SEGMENT_HALF, (n_r - hr - 1, n_d - hd - 1))
-    tx = [histogram_feature(cells, m_bins).histogram for cells in segment_cells(rd.power, centers)]
+                      SEGMENT_HALF, np.subtract(rd.power.shape, SEGMENT_HALF) - 1)
 
     tiles = noise_tile_centers(rd.power.shape)
     # drop tiles whose segment could touch the target's neighborhood
@@ -105,9 +103,8 @@ def _map_segments(scenario, m_bins, rng, config, geometry, n_per_class):
     )
     tiles = tiles[clear]
     pick = rng.choice(len(tiles), size=n_per_class, replace=False)
-    nx = [histogram_feature(cells, m_bins).histogram
-          for cells in segment_cells(rd.power, tiles[pick])]
-    return tx, nx
+    cells = segment_cells(rd.power, np.stack([centers, tiles[pick]], axis=1))
+    return bin_rows(cells.reshape(2 * n_per_class, -1), m_bins)[0]
 
 
 def build_labeled_segments(
@@ -119,23 +116,19 @@ def build_labeled_segments(
 ):
     """Balanced dataset of n_total histograms: (X, y), y=1 for target.
 
-    Examples are interleaved map by map, so any prefix is near-balanced.
+    Rows alternate target (even) and noise (odd), so any prefix is near-balanced.
     """
     if n_total % 2:
         raise ValueError("n_total must be even (classes are balanced)")
     config = config or RadarConfig()
     geometry = derive_geometry(config)
-    per_class_per_map = len(TARGET_OFFSETS)
-    X, y = [], []
-    while len(X) < n_total:
-        n_pc = min(per_class_per_map, (n_total - len(X)) // 2)
-        tx, nx = _map_segments(scenario, m_bins, rng, config, geometry, n_pc)
-        for t, n in zip(tx, nx):
-            X.append(t)
-            y.append(1)
-            X.append(n)
-            y.append(0)
-    return np.asarray(X)[:n_total], np.asarray(y, dtype=int)[:n_total]
+    X = np.empty((n_total, m_bins))
+    filled = 0
+    while filled < n_total:
+        n_pc = min(len(TARGET_OFFSETS), (n_total - filled) // 2)
+        X[filled:filled + 2 * n_pc] = _map_segments(scenario, m_bins, rng, config, geometry, n_pc)
+        filled += 2 * n_pc
+    return X, np.tile([1, 0], n_total // 2)
 
 
 def standard_datasets(m_bins: int, seed: int = 0, config: RadarConfig | None = None) -> dict:

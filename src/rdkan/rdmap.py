@@ -8,6 +8,8 @@ bins on [0, 1]; bin heights are counts divided by the cell count.
 
 The kernels take power arrays.  segment_cells is the one gather of the
 segments at given centers, and the one check that a segment fits.
+bin_rows is the one binning rule, used by histogram_feature (one block),
+segment_histogram_map (the sweep) and datasets._map_segments (training).
 """
 
 from __future__ import annotations
@@ -82,15 +84,16 @@ class SegmentFeature:
     degenerate: bool          # constant segment, all mass forced to bin 0
 
 
-def _bin_rows(rows, m_bins):
-    """Min-max normalized histograms of the rows of an (n, cells) array.
+def bin_rows(rows, m_bins):
+    """Min-max normalized histograms of the rows of an (n, cells) array of
+    finite values, in bins [i/M, (i+1)/M) with the last closed on the right.
 
-    Bins are [i/M, (i+1)/M), closed on the left, with the final bin closed
-    on both sides so 1.0 lands in it.  A constant row cannot be
-    normalized; it gets all mass in bin 0 and a degenerate flag.
+    Bin b holds the cells that reach edge b but not edge b+1, where a cell
+    reaches edge k when norm >= edges[k]; every cell reaches edge 0 and none
+    reaches edge M.  A constant row normalizes to zeros: bin 0, degenerate.
     Returns (X (n, m_bins) float, degenerate (n,) bool).
     """
-    n, n_cells = rows.shape
+    n_cells = rows.shape[1]
     if n_cells == 0:
         raise SegmentError("empty cell block")
     if m_bins < 2:
@@ -99,17 +102,14 @@ def _bin_rows(rows, m_bins):
     span = rows.max(axis=1) - lo
     degenerate = span == 0
     norm = (rows - lo[:, None]) / np.where(degenerate, 1.0, span)[:, None]
-    idx = np.searchsorted(np.linspace(0.0, 1.0, m_bins + 1), norm, side="right") - 1
-    np.clip(idx, 0, m_bins - 1, out=idx)
-    idx += (np.arange(n) * m_bins)[:, None]
-    # a constant row normalizes to all zeros, so its mass is already in bin 0
-    X = np.bincount(idx.ravel(), minlength=n * m_bins).reshape(n, m_bins) / n_cells
-    return X, degenerate
+    reached = np.stack([np.count_nonzero(norm >= edge, axis=1)
+                        for edge in np.linspace(0.0, 1.0, m_bins + 1)[1:-1]], axis=1)
+    return -np.diff(reached, prepend=n_cells, append=0, axis=1) / n_cells, degenerate
 
 
 def histogram_feature(cells, m_bins) -> SegmentFeature:
-    """Min-max normalized histogram of one cell block (see _bin_rows)."""
-    X, degenerate = _bin_rows(np.asarray(cells, dtype=float).reshape(1, -1), m_bins)
+    """Min-max normalized histogram of one cell block (see bin_rows)."""
+    X, degenerate = bin_rows(np.asarray(cells, dtype=float).reshape(1, -1), m_bins)
     return SegmentFeature(m_bins, X[0], bool(degenerate[0]))
 
 
@@ -125,7 +125,7 @@ def segment_histogram_map(power, m_bins):
         raise SegmentError(f"map {power.shape} smaller than segment {SEGMENT_SHAPE}")
     win = sliding_window_view(power, SEGMENT_SHAPE)
     n_r, n_d = win.shape[:2]
-    X, degenerate = _bin_rows(win.reshape(n_r * n_d, -1), m_bins)
+    X, degenerate = bin_rows(win.reshape(n_r * n_d, -1), m_bins)
     rr, dd = np.meshgrid(np.arange(n_r) + hr, np.arange(n_d) + hd, indexing="ij")
     centers = np.stack([rr.ravel(), dd.ravel()], axis=1)
     return centers, X, degenerate

@@ -351,7 +351,9 @@ def _term_to_doc(term: Term) -> dict:
 
 def _term_from_doc(doc: dict) -> Term:
     params, knots, coeffs = (tuple(map(float, doc.get(k, ()))) for k in ("params", "knots", "coeffs"))
-    return Term(doc["kind"], int(doc["input"]), params, knots, coeffs)
+    if type(doc["input"]) is not int:
+        raise RuleError(f"term input must be a JSON integer, got {doc['input']!r}")
+    return Term(doc["kind"], doc["input"], params, knots, coeffs)
 
 
 def save_rule(path, rule: DecisionRule) -> None:
@@ -386,7 +388,7 @@ def load_rule(path) -> DecisionRule:
     if not isinstance(doc, dict) or doc.get("format") != "rdkan-rule-v1":
         raise RuleError(f"{path}: not a rule file")
     try:
-        m_bins = int(doc["m_bins"])
+        m_bins = doc["m_bins"]
         exprs = tuple(
             SymbolicExpr(terms=tuple(_term_from_doc(t) for t in e["terms"]), bias=float(e["bias"]))
             for e in doc["exprs"]
@@ -396,6 +398,8 @@ def load_rule(path) -> DecisionRule:
         raise RuleError(f"{path}: {err}") from None
     except (KeyError, TypeError, ValueError) as err:
         raise RuleError(f"{path}: malformed rule: {err!r}") from None
+    if type(m_bins) is not int or m_bins < 2:
+        raise RuleError(f"{path}: m_bins must be a JSON integer >= 2, got {m_bins!r}")
     if len(exprs) != 2:
         raise RuleError(f"{path}: expected 2 exprs (h0, h1), found {len(exprs)}")
     if not np.isfinite([e.bias for e in exprs]).all():

@@ -140,7 +140,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "defect", ["input-out-of-range", "one-expr", "spline-without-knots", "spline-short-knots",
                    "nan-param", "inf-bias", "string-param", "string-bias", "string-m-bins",
-                   "unknown-kind"])
+                   "unknown-kind", "fractional-m-bins", "one-bin", "fractional-input",
+                   "bool-input"])
     def test_malformed_rule_is_failure(self, defect, tmp_path, capsys):
         cube_path = tmp_path / "c.bin"
         assert run(capsys, "simulate", "--out", str(cube_path), "--seed", "0")[0] == 0
@@ -165,6 +166,14 @@ class TestExitCodes:
             doc["m_bins"] = "ten"
         elif defect == "unknown-kind":
             doc["exprs"][1]["terms"][0]["kind"] = "cubic"
+        elif defect == "fractional-m-bins":
+            doc["m_bins"] = 10.7
+        elif defect == "one-bin":
+            doc["m_bins"] = 1
+        elif defect == "fractional-input":
+            doc["exprs"][1]["terms"][0]["input"] = 0.9
+        elif defect == "bool-input":
+            doc["exprs"][1]["terms"][0]["input"] = True
         else:
             # 2 knots and 2 coeffs imply no B-spline
             doc["exprs"][0]["terms"][0] = {"kind": "spline", "input": 0, "params": [],
@@ -242,6 +251,9 @@ class TestExitCodes:
         (["train", "--out", "m.json", "--few-shot", "7"], "--few-shot"),
         (["train", "--out", "m.json", "--m-bins", "1"], "--m-bins"),
         (["train", "--out", "m.json", "--replay", "0"], "--replay"),
+        (["simulate", "--out", "cube.bin", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["train", "--out", "m.json", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["eval", "--seed", "-1"], "--seed must be >= 0, got -1"),
     ])
     def test_bad_numeric_argument_is_usage(self, argv, option, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -14,6 +14,7 @@ from rdkan.rdmap import (
     SEGMENT_SHAPE,
     SegmentError,
     RDMap,
+    bin_rows,
     compute_rd_map,
     histogram_feature,
     load_rd_map,
@@ -240,6 +241,53 @@ class TestHistogramProperties:
             feat = histogram_feature(segment_cells(power, [center])[0], m_bins)
             assert np.array_equal(X[i], feat.histogram)
             assert degen[i] == feat.degenerate
+
+
+def rule_bin(v, m_bins):
+    """Bin of a normalized value in exact rational arithmetic: the number of
+    interior edges of np.linspace(0, 1, M+1) that it reaches.  This is
+    exact_bin wherever each edge double is the least double >= k/M (M = 2,
+    4, 5, 8, 10 among 2..12).  For M = 3, 6, 7, 9, 11 and 12 some edges lie
+    one double below k/M, so the double nearest k/M reaches edge k."""
+    edges = np.linspace(0.0, 1.0, m_bins + 1)[1:-1]
+    return sum(Fraction(float(v)) >= Fraction(float(e)) for e in edges)
+
+
+N_CELLS = SEGMENT_SHAPE[0] * SEGMENT_SHAPE[1]
+# (n, 119) stacks mixing generic rows, rows of tied small integers and constant rows
+cell_rows = st.lists(
+    st.one_of(
+        arrays(np.float64, N_CELLS, elements=cell_values),
+        arrays(np.float64, N_CELLS, elements=st.integers(0, 12).map(float)),
+        cell_values.map(lambda v: np.full(N_CELLS, v)),
+    ),
+    min_size=1, max_size=6,
+).map(np.stack)
+
+
+class TestBinRowsProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=cell_rows, m_bins=st.integers(2, 12), k=st.integers(-20, 20))
+    def test_equals_exact_oracle(self, rows, m_bins, k):
+        X, degenerate = bin_rows(rows * 2.0**k, m_bins)
+        for row, x, degen in zip(rows, X, degenerate):
+            lo, span = row.min(), row.max() - row.min()
+            if span == 0:
+                assert degen and x[0] == 1.0 and not x[1:].any()
+                continue
+            bins = [rule_bin(v, m_bins) for v in (row - lo) / span]
+            assert not degen
+            assert np.array_equal(x, np.bincount(bins, minlength=m_bins) / N_CELLS)
+            if m_bins in (2, 4, 5, 8, 10):
+                assert bins == [exact_bin(v, m_bins) for v in (row - lo) / span]
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=cell_rows, m_bins=st.integers(2, 12))
+    def test_stack_equals_rows_alone(self, rows, m_bins):
+        X, degenerate = bin_rows(rows, m_bins)
+        for row, x, degen in zip(rows, X, degenerate):
+            x1, degen1 = bin_rows(row[None], m_bins)
+            assert np.array_equal(x, x1[0]) and degen == degen1[0]
 
 
 class TestSegmentHistogramMap:

@@ -271,7 +271,7 @@ class TestSerialization:
         assert back.exprs == rule.exprs
 
     def test_round_trip_with_spline_term(self, tmp_path, rng):
-        model = init_model(1, rng, coeff_std=0.0)
+        model = init_model(2, rng, coeff_std=0.0)  # a rule file needs m_bins >= 2
         model.base_scale[:] = 0.0
         model.coeffs[0, 0] = [3.0, -3.0, 3.0, -3.0, 3.0, -3.0]
         model.coeffs[1, 0] = [0.1, 0.2, 0.3, 0.1, 0.2, 0.3]
@@ -279,7 +279,7 @@ class TestSerialization:
         path = tmp_path / "rule.json"
         save_rule(path, rule)
         back = load_rule(path)
-        X = rng.uniform(0, 1, (20, 1))
+        X = rng.uniform(0, 1, (20, 2))
         assert np.allclose(rule_scores(back, X), rule_scores(rule, X), atol=1e-12)
 
     def test_rejects_foreign_json(self, tmp_path):
@@ -309,8 +309,12 @@ class TestSerialization:
             ("inf-bias", "non-finite expr bias"),
             ("string-param", "could not convert string to float"),
             ("string-bias", "could not convert string to float"),
-            ("string-m-bins", "invalid literal for int"),
+            ("string-m-bins", "integer >= 2"),
             ("unknown-kind", "unknown term kind 'cubic'"),
+            ("fractional-m-bins", "m_bins must be a JSON integer >= 2, got 10.7"),
+            ("one-bin", "m_bins must be a JSON integer >= 2, got 1"),
+            ("fractional-input", "term input must be a JSON integer, got 0.9"),
+            ("bool-input", "term input must be a JSON integer, got True"),
         ],
     )
     def test_rejects_malformed_rule(self, defect, message, tmp_path):
@@ -338,6 +342,14 @@ class TestSerialization:
             doc["m_bins"] = "ten"
         elif defect == "unknown-kind":
             terms[0]["kind"] = "cubic"
+        elif defect == "fractional-m-bins":
+            doc["m_bins"] = 10.7
+        elif defect == "one-bin":
+            doc["m_bins"] = 1
+        elif defect == "fractional-input":
+            terms[0]["input"] = 0.9
+        elif defect == "bool-input":
+            terms[0]["input"] = True
         elif defect in BAD_SPLINES:
             knots, coeffs = BAD_SPLINES[defect]
             terms[0] = {"kind": "spline", "input": 0, "params": [], "knots": knots, "coeffs": coeffs}
@@ -377,7 +389,7 @@ def terms(draw, m_bins):
 
 @st.composite
 def rules(draw):
-    m_bins = draw(st.integers(1, 12))
+    m_bins = draw(st.integers(2, 12))
     # two exprs (h0, h1) of any term kinds, spline included
     exprs = tuple(
         SymbolicExpr(tuple(draw(st.lists(terms(m_bins), max_size=4))), draw(term_floats))
