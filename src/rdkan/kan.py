@@ -517,9 +517,10 @@ def save_model(path, model: KanModel) -> None:
 
 
 def load_model(path) -> KanModel:
-    """Read a checkpoint; a missing key, n_out other than 2 (H0 and H1
-    logits), an array shaped unlike n_in, n_out, order and grid_count
-    imply, or a non-finite value raises ValueError."""
+    """Read a checkpoint; a missing key, n_in below 2 (one input per
+    histogram bin, and a histogram has at least 2), n_out other than 2 (H0
+    and H1 logits), an array shaped unlike n_in, n_out, order and
+    grid_count imply, or a non-finite value raises ValueError."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or doc.get("format") != "rdkan-checkpoint-v1":
         raise ValueError(f"{path}: not a model checkpoint")
@@ -534,6 +535,8 @@ def load_model(path) -> KanModel:
         raise ValueError(f"{path}: non-numeric checkpoint array: {err}") from None
     if n_out != 2 or not all(type(v) is int and v >= 1 for v in (order, grid_count, n_in)):
         raise ValueError(f"{path}: order, grid_count and n_in must be positive integers, n_out 2")
+    if n_in < 2:
+        raise ValueError(f"{path}: n_in must be >= 2, one input per histogram bin, got {n_in}")
     edge = (n_out, n_in)
     want = {"knots": (n_in, grid_count + 2 * order + 1), "coeffs": edge + (grid_count + order,),
             "base_scale": edge, "spline_scale": edge, "edge_mask": edge}

@@ -3,13 +3,18 @@
 A dwell becomes a power map via a 2-D FFT (fast time then slow time),
 square-law detection and an fftshift along Doppler so zero velocity sits
 in the center column.  Detection features are per-segment histograms:
-a 17x7 block of cells is min-max normalized and binned into M equal-width
-bins on [0, 1]; bin heights are counts divided by the cell count.
+a 17x7 block of cells is min-max normalized and binned into M bins on
+[0, 1], cut at the np.linspace(0, 1, M+1) doubles; bin heights are counts
+divided by the cell count.  For M = 3, 6, 7, 9, 11 and 12 some of those
+edge doubles lie one double below k/M, so a value equal to such an edge
+lands one bin higher than in the bins [k/M, (k+1)/M) of exact arithmetic.
 
 The kernels take power arrays.  segment_cells is the one gather of the
 segments at given centers, and the one check that a segment fits.
-bin_rows is the one binning rule, used by histogram_feature (one block),
-segment_histogram_map (the sweep) and datasets._map_segments (training).
+bin_rows is the binning rule, used by histogram_feature (one block) and
+datasets._map_segments (training).  segment_histogram_map (the sweep) is
+the map form of the same rule: it bins whole-map slices with no window
+copy, and a property test holds it equal to bin_rows on every window.
 """
 
 from __future__ import annotations
@@ -86,11 +91,15 @@ class SegmentFeature:
 
 def bin_rows(rows, m_bins):
     """Min-max normalized histograms of the rows of an (n, cells) array of
-    finite values, in bins [i/M, (i+1)/M) with the last closed on the right.
+    finite values, in M bins cut at edges = np.linspace(0, 1, M+1), the
+    last closed on the right.
 
     Bin b holds the cells that reach edge b but not edge b+1, where a cell
     reaches edge k when norm >= edges[k]; every cell reaches edge 0 and none
-    reaches edge M.  A constant row normalizes to zeros: bin 0, degenerate.
+    reaches edge M.  For M = 3, 6, 7, 9, 11 and 12 some edges[k] lie one
+    double below k/M, so a norm equal to such an edge reaches edge k, where
+    the bins [k/M, (k+1)/M) of exact arithmetic would not.
+    A constant row normalizes to zeros: bin 0, degenerate.
     Returns (X (n, m_bins) float, degenerate (n,) bool).
     """
     n_cells = rows.shape[1]
@@ -114,21 +123,44 @@ def histogram_feature(cells, m_bins) -> SegmentFeature:
 
 
 def segment_histogram_map(power, m_bins):
-    """Histograms of every full segment position of a power map, vectorized.
+    """Histograms of every full segment position of a power map: bin_rows'
+    rule over whole-map slices, with no per-window copy.  lo and hi are
+    exact running window extrema; for each cell offset of the window, one
+    normalized map slice meets all inner edges in one compare, and the edge
+    counts add up per window.  Each cell meets the same float ops as in
+    bin_rows, so X and the flags equal bin_rows on the windows' rows byte
+    for byte.
 
     Returns (centers (n, 2) int, X (n, m_bins) float, degenerate (n,) bool)
     where centers run row-major over all positions whose segment fits in
     the map.
     """
+    sr, sd = SEGMENT_SHAPE
     hr, hd = SEGMENT_HALF
-    if power.shape[0] < SEGMENT_SHAPE[0] or power.shape[1] < SEGMENT_SHAPE[1]:
+    if power.shape[0] < sr or power.shape[1] < sd:
         raise SegmentError(f"map {power.shape} smaller than segment {SEGMENT_SHAPE}")
-    win = sliding_window_view(power, SEGMENT_SHAPE)
-    n_r, n_d = win.shape[:2]
-    X, degenerate = bin_rows(win.reshape(n_r * n_d, -1), m_bins)
+    if m_bins < 2:
+        raise SegmentError(f"m_bins must be >= 2, got {m_bins}")
+    rows = sliding_window_view(power, sd, axis=1)
+    lo = sliding_window_view(rows.min(axis=-1), sr, axis=0).min(axis=-1)
+    hi = sliding_window_view(rows.max(axis=-1), sr, axis=0).max(axis=-1)
+    span = hi - lo
+    degenerate = span == 0
+    span = np.where(degenerate, 1.0, span)
+    n_r, n_d = lo.shape
+    edges = np.linspace(0.0, 1.0, m_bins + 1)[1:-1, None, None]
+    norm = np.empty_like(span)
+    hit = np.empty((m_bins - 1, n_r, n_d), dtype=bool)
+    reached = np.zeros(hit.shape, dtype=np.uint8)  # at most sr * sd = 119 per cell
+    for a in range(sr):
+        for b in range(sd):
+            np.divide(np.subtract(power[a:a + n_r, b:b + n_d], lo, out=norm), span, out=norm)
+            reached += np.greater_equal(norm, edges, out=hit).view(np.uint8)
+    reached = reached.reshape(m_bins - 1, -1).T.astype(np.intp, order="C")
+    X = -np.diff(reached, prepend=sr * sd, append=0, axis=1) / (sr * sd)
     rr, dd = np.meshgrid(np.arange(n_r) + hr, np.arange(n_d) + hd, indexing="ij")
     centers = np.stack([rr.ravel(), dd.ravel()], axis=1)
-    return centers, X, degenerate
+    return centers, X, degenerate.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -185,14 +185,17 @@ class TestExitCodes:
         assert err.startswith(f"error: {rule_path}:")
         assert "detection(s)" not in out
 
-    @pytest.mark.parametrize("defect", ["no-base-scale", "one-row-edge-mask", "null-base-scale"])
+    @pytest.mark.parametrize("defect", ["no-base-scale", "one-row-edge-mask", "null-base-scale",
+                                        "one-input"])
     def test_malformed_checkpoint_is_failure(self, defect, tmp_path, capsys):
         cube_path = tmp_path / "c.bin"
         assert run(capsys, "simulate", "--out", str(cube_path), "--seed", "0")[0] == 0
         model_path = tmp_path / "model.json"
-        save_model(model_path, init_model(10, np.random.default_rng(0)))
+        save_model(model_path, init_model(1 if defect == "one-input" else 10, np.random.default_rng(0)))
         doc = json.loads(model_path.read_text())
-        if defect == "no-base-scale":
+        if defect == "one-input":
+            pass  # saved as is
+        elif defect == "no-base-scale":
             del doc["base_scale"]
         elif defect == "one-row-edge-mask":
             doc["edge_mask"] = doc["edge_mask"][:1]
@@ -201,8 +204,20 @@ class TestExitCodes:
         model_path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "detect", "--cube", str(cube_path), "--classifier", str(model_path))
         assert code == EXIT_FAILURE
-        assert err.startswith("error:")
+        # refused by load_model, whose messages name the file
+        assert err.startswith(f"error: {model_path}:")
         assert "detection(s)" not in out
+
+    @pytest.mark.parametrize("command", ["snap", "eval"])
+    def test_one_input_checkpoint_is_failure(self, command, tmp_path, capsys):
+        model_path = tmp_path / "one.json"
+        save_model(model_path, init_model(1, np.random.default_rng(0)))
+        argv = {"snap": ["snap", "--model", str(model_path), "--out", str(tmp_path / "one-rule.json")],
+                "eval": ["eval", "--detectors", f"kan:{model_path}", "--trials", "1"]}[command]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_FAILURE
+        assert err.startswith(f"error: {model_path}: n_in must be >= 2")
+        assert list(tmp_path.iterdir()) == [model_path]  # nothing written
 
     def test_non_finite_cube_is_failure(self, tmp_path, capsys):
         cube_path = tmp_path / "c.bin"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from rdkan.radarsim import IfDataCube, RadarConfig, derive_geometry, synth_if_cube
 from rdkan.rdmap import (
@@ -327,6 +328,38 @@ class TestSegmentHistogramMap:
         assert len(centers) == (256 - 16) * (128 - 6)
         assert X.shape == (len(centers), 10)
         assert np.allclose(X.sum(axis=1), 1.0)
+
+
+@st.composite
+def power_maps(draw):
+    """Maps from one segment up to 40x20 cells: generic cells, tied small
+    integers, or generic cells around a constant block of at least one
+    segment, so that some windows are degenerate."""
+    shape = draw(st.tuples(st.integers(SEGMENT_SHAPE[0], 40), st.integers(SEGMENT_SHAPE[1], 20)))
+    kind = draw(st.sampled_from(["generic", "tied", "block"]))
+    elements = st.integers(0, 12).map(float) if kind == "tied" else cell_values
+    power = draw(arrays(np.float64, shape, elements=elements))
+    if kind == "block":
+        r0 = draw(st.integers(0, shape[0] - SEGMENT_SHAPE[0]))
+        d0 = draw(st.integers(0, shape[1] - SEGMENT_SHAPE[1]))
+        r1 = draw(st.integers(r0 + SEGMENT_SHAPE[0], shape[0]))
+        d1 = draw(st.integers(d0 + SEGMENT_SHAPE[1], shape[1]))
+        power[r0:r1, d0:d1] = draw(cell_values)
+    return power
+
+
+class TestSegmentHistogramMapProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(power=power_maps(), m_bins=st.one_of(st.integers(2, 12), st.just(32)),
+           k=st.integers(-20, 20))
+    def test_equals_bin_rows_on_every_window(self, power, m_bins, k):
+        # the sweep is bin_rows' rule over whole-map slices: byte for byte
+        _, X, degenerate = segment_histogram_map(power * 2.0**k, m_bins)
+        rows = sliding_window_view(power, SEGMENT_SHAPE).reshape(-1, N_CELLS) * 2.0**k
+        want_X, want_degenerate = bin_rows(rows, m_bins)
+        assert X.shape == want_X.shape and X.tobytes() == want_X.tobytes()
+        assert degenerate.shape == want_degenerate.shape
+        assert degenerate.tobytes() == want_degenerate.tobytes()
 
 
 class TestSerialization:
