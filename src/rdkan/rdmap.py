@@ -13,8 +13,9 @@ The kernels take power arrays.  segment_cells is the one gather of the
 segments at given centers, and the one check that a segment fits.
 bin_rows is the binning rule, used by histogram_feature (one block) and
 datasets._map_segments (training).  segment_histogram_map (the sweep) is
-the map form of the same rule: it bins whole-map slices with no window
-copy, and a property test holds it equal to bin_rows on every window.
+the map form of the same rule: it folds whole-map slices into the window
+extrema and the uint8 edge counts, with no window copy, and a property
+test holds it equal to bin_rows on every window.
 """
 
 from __future__ import annotations
@@ -124,12 +125,13 @@ def histogram_feature(cells, m_bins) -> SegmentFeature:
 
 def segment_histogram_map(power, m_bins):
     """Histograms of every full segment position of a power map: bin_rows'
-    rule over whole-map slices, with no per-window copy.  lo and hi are
-    exact running window extrema; for each cell offset of the window, one
-    normalized map slice meets all inner edges in one compare, and the edge
-    counts add up per window.  Each cell meets the same float ops as in
-    bin_rows, so X and the flags equal bin_rows on the windows' rows byte
-    for byte.
+    rule over whole-map slices, with no per-window copy.  lo and hi fold
+    np.minimum / np.maximum over the 7 column slices, then the 17 rows (exact
+    in any order).  Per cell offset of the window, one normalized map slice
+    meets all inner edges in one compare, adding into uint8 edge counts C_k
+    (C_0 = 119, C_M = 0); bin b is the uint8 C_b - C_(b+1) divided by 119.
+    Each cell meets the same float ops as in bin_rows, so X and the flags
+    equal bin_rows on the windows' rows byte for byte.
 
     Returns (centers (n, 2) int, X (n, m_bins) float, degenerate (n,) bool)
     where centers run row-major over all positions whose segment fits in
@@ -141,23 +143,30 @@ def segment_histogram_map(power, m_bins):
         raise SegmentError(f"map {power.shape} smaller than segment {SEGMENT_SHAPE}")
     if m_bins < 2:
         raise SegmentError(f"m_bins must be >= 2, got {m_bins}")
-    rows = sliding_window_view(power, sd, axis=1)
-    lo = sliding_window_view(rows.min(axis=-1), sr, axis=0).min(axis=-1)
-    hi = sliding_window_view(rows.max(axis=-1), sr, axis=0).max(axis=-1)
+    n_r, n_d = power.shape[0] - sr + 1, power.shape[1] - sd + 1
+    row_lo, row_hi = power[:, :n_d].copy(), power[:, :n_d].copy()
+    for b in range(1, sd):
+        np.minimum(row_lo, power[:, b:b + n_d], out=row_lo)
+        np.maximum(row_hi, power[:, b:b + n_d], out=row_hi)
+    lo, hi = row_lo[:n_r].copy(), row_hi[:n_r].copy()
+    for a in range(1, sr):
+        np.minimum(lo, row_lo[a:a + n_r], out=lo)
+        np.maximum(hi, row_hi[a:a + n_r], out=hi)
     span = hi - lo
     degenerate = span == 0
     span = np.where(degenerate, 1.0, span)
-    n_r, n_d = lo.shape
     edges = np.linspace(0.0, 1.0, m_bins + 1)[1:-1, None, None]
     norm = np.empty_like(span)
     hit = np.empty((m_bins - 1, n_r, n_d), dtype=bool)
-    reached = np.zeros(hit.shape, dtype=np.uint8)  # at most sr * sd = 119 per cell
+    reached = np.zeros((m_bins + 1, n_r, n_d), dtype=np.uint8)  # at most sr * sd = 119
+    reached[0] = sr * sd
+    inner = reached[1:-1]
     for a in range(sr):
         for b in range(sd):
             np.divide(np.subtract(power[a:a + n_r, b:b + n_d], lo, out=norm), span, out=norm)
-            reached += np.greater_equal(norm, edges, out=hit).view(np.uint8)
-    reached = reached.reshape(m_bins - 1, -1).T.astype(np.intp, order="C")
-    X = -np.diff(reached, prepend=sr * sd, append=0, axis=1) / (sr * sd)
+            inner += np.greater_equal(norm, edges, out=hit).view(np.uint8)
+    counts = reached[:-1] - reached[1:]  # C_k >= C_(k+1), so no uint8 wrap
+    X = np.divide(counts.reshape(m_bins, -1).T, sr * sd, out=np.empty((n_r * n_d, m_bins)))
     rr, dd = np.meshgrid(np.arange(n_r) + hr, np.arange(n_d) + hd, indexing="ij")
     centers = np.stack([rr.ravel(), dd.ravel()], axis=1)
     return centers, X, degenerate.ravel()

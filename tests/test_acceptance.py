@@ -8,6 +8,8 @@ detector comparison) are module scoped; a complete run takes some minutes:
     pytest tests/test_acceptance.py -v
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -297,8 +299,7 @@ def test_10_numerical_exactness(acceptance_log):
     norm = (flat - flat.min()) / (flat.max() - flat.min())
     brute = np.zeros(10)
     for v in norm:
-        k = 9 if v == 1.0 else int(v * 10)
-        brute[k] += 1
+        brute[min(int(Fraction(v) * 10), 9)] += 1  # exact floor; at M=10 it agrees with linspace
     hist_ok = np.array_equal(heights, brute / flat.size)
 
     # IoU comes out as exact integer-area ratios

@@ -1,6 +1,7 @@
 """OS-CFAR: exact false-alarm algebra, order statistics, fire-map behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,17 +234,63 @@ def cfar_maps(draw):
     return power, window, guard
 
 
+def sorted_fires(power, cfg):
+    """Fire map and offset by the full-sort oracle."""
+    stat, (hr, hd) = order_statistic_map(power, cfg.window, cfg.guard, cfg.k_rank)
+    cut = power[hr:hr + stat.shape[0], hd:hd + stat.shape[1]]
+    return cut > cfg.alpha * stat, (hr, hd)
+
+
 class TestCountedFireMap:
     @settings(max_examples=150, deadline=None)
     @given(case=cfar_maps(), pfa=st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4, 1e-6]))
     def test_equals_sorted_order_statistic(self, case, pfa):
         power, window, guard = case
         cfg = make_os_cfar_config(pfa, window=window, guard=guard)
-        stat, (hr, hd) = order_statistic_map(power, window, guard, cfg.k_rank)
-        cut = power[hr:hr + stat.shape[0], hd:hd + stat.shape[1]]
+        want, want_offset = sorted_fires(power, cfg)
         fires, offset = os_cfar_fire_map(power, cfg)
-        assert offset == (hr, hd)
-        assert np.array_equal(fires, cut > cfg.alpha * stat)
+        assert offset == want_offset
+        assert np.array_equal(fires, want)
+
+    def test_constant_map_leaves_no_survivor(self):
+        # alpha > 1: no scaled reference cell lies below an equal CUT, so every
+        # first-half count is 0, below k_rank - (n_ref - n_ref // 2) = 26
+        cfg = make_os_cfar_config(1e-3)
+        assert cfg.alpha > 1
+        power = np.full((40, 20), 3.0)
+        fires, _ = os_cfar_fire_map(power, cfg)
+        assert not fires.any()
+        assert np.array_equal(fires, sorted_fires(power, cfg)[0])
+
+    @pytest.mark.parametrize("window,guard,k_rank", [((5, 3), (1, 1), 2), ((17, 7), (2, 1), 40)])
+    def test_low_rank_keeps_every_cut(self, window, guard, k_rank, rng):
+        # k_rank <= n_ref // 2: the screen's bound is <= 0, every CUT survives
+        base = make_os_cfar_config(1e-3, window=window, guard=guard)
+        assert k_rank <= base.n_ref // 2
+        cfg = replace(base, k_rank=k_rank, alpha=solve_alpha(1e-3, base.n_ref, k_rank))
+        power = rng.exponential(1.0, (window[0] + 30, window[1] + 20))
+        power[12:16, 5:8] *= 300.0
+        fires, _ = os_cfar_fire_map(power, cfg)
+        assert fires.any()
+        assert np.array_equal(fires, sorted_fires(power, cfg)[0])
+
+    @pytest.mark.parametrize("high_rest,fires_want", [(0, True), (1, False)])
+    def test_first_half_count_at_the_screen_bound(self, high_rest, fires_want):
+        # one CUT whose first-half count is exactly k_rank - (n_ref - half):
+        # it survives, and the second half decides at count == k_rank
+        cfg = make_os_cfar_config(1e-3)
+        cols = reference_columns(cfg.window, cfg.guard)
+        half = cols.size // 2
+        bound = cfg.k_rank - (cols.size - half)
+        cells = np.ones(cfg.window[0] * cfg.window[1])
+        cells[cols[:half - bound]] = 4.0  # above the CUT once scaled
+        cells[cols[half:half + high_rest]] = 4.0
+        cells[cells.size // 2] = 2.0 * cfg.alpha  # the CUT
+        power = cells.reshape(cfg.window)
+        assert np.count_nonzero(cfg.alpha * cells[cols[:half]] < cells[cells.size // 2]) == bound
+        fires, _ = os_cfar_fire_map(power, cfg)
+        assert fires.shape == (1, 1) and bool(fires[0, 0]) is fires_want
+        assert np.array_equal(fires, sorted_fires(power, cfg)[0])
 
 
 class TestEmpiricalRates:

@@ -360,6 +360,8 @@ class TestSegmentHistogramMapProperties:
         assert X.shape == want_X.shape and X.tobytes() == want_X.tobytes()
         assert degenerate.shape == want_degenerate.shape
         assert degenerate.tobytes() == want_degenerate.tobytes()
+        assert X.dtype == np.float64 and X.flags.c_contiguous
+        assert degenerate.dtype == bool
 
 
 class TestSerialization:
