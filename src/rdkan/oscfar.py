@@ -8,8 +8,8 @@ false-alarm rate has the closed form
     P_FA(alpha) = prod_{i=0}^{k-1} (N - i) / (N - i + alpha)
 
 with N reference cells, which is solved for alpha by bisection.
-The fire map counts scaled reference cells below each CUT, finishing the
-count only where the first half of them leaves k_rank within reach.
+The fire map counts, per CUT, the scaled reference cells below it, one
+whole-map slice compare per reference offset.
 """
 
 from __future__ import annotations
@@ -138,24 +138,19 @@ def os_cfar_fire_map(power, config: OsCfarConfig):
     A CUT fires when its power strictly exceeds alpha times its k-th
     smallest reference cell, i.e. when at least k_rank scaled reference
     cells lie below it; fl(alpha * x) is monotone for alpha >= 0, so this
-    count decides bit for bit as a sort would.  Every CUT counts its first
-    half = n_ref // 2 reference cells; the rest add at most n_ref - half, so
-    a count below k_rank - (n_ref - half) cannot fire, and only the other
-    CUTs gather the rest and make the full count >= k_rank.  fires[i, j] refers to
-    power[i + hr, j + hd]; edge cells without a full window are never tested.
+    count decides bit for bit as a sort would.  The count is held in the
+    smallest unsigned type that fits n_ref (uint8 for 17x7, uint16 for
+    33x11), and each compare adds through one reused bool buffer.
+    fires[i, j] refers to power[i + hr, j + hd]; edge cells without a full
+    window are never tested.
     """
     (n_r, n_d), (hr, hd), cols = _interior(power.shape, config.window, config.guard, config.k_rank)
     cut = power[hr:hr + n_r, hd:hd + n_d]
     scaled = config.alpha * power
-    ra, rb = np.divmod(cols, config.window[1])
-    half = cols.size // 2
     count = np.zeros((n_r, n_d), dtype=np.min_scalar_type(cols.size))
     below = np.empty((n_r, n_d), dtype=bool)
-    for a, b in zip(ra[:half], rb[:half]):
+    for a, b in zip(*np.divmod(cols, config.window[1])):
         count += np.less(scaled[a:a + n_r, b:b + n_d], cut, out=below).view(np.uint8)
-    i, j = np.nonzero(count + (cols.size - half) >= config.k_rank)
-    rest = scaled[i[:, None] + ra[half:], j[:, None] + rb[half:]] < cut[i, j][:, None]
-    count[i, j] += np.count_nonzero(rest, axis=1).astype(count.dtype)
     return count >= config.k_rank, (hr, hd)
 
 

@@ -252,9 +252,8 @@ class TestCountedFireMap:
         assert offset == want_offset
         assert np.array_equal(fires, want)
 
-    def test_constant_map_leaves_no_survivor(self):
-        # alpha > 1: no scaled reference cell lies below an equal CUT, so every
-        # first-half count is 0, below k_rank - (n_ref - n_ref // 2) = 26
+    def test_constant_map_never_fires(self):
+        # alpha > 1: no scaled reference cell lies below an equal CUT
         cfg = make_os_cfar_config(1e-3)
         assert cfg.alpha > 1
         power = np.full((40, 20), 3.0)
@@ -263,8 +262,8 @@ class TestCountedFireMap:
         assert np.array_equal(fires, sorted_fires(power, cfg)[0])
 
     @pytest.mark.parametrize("window,guard,k_rank", [((5, 3), (1, 1), 2), ((17, 7), (2, 1), 40)])
-    def test_low_rank_keeps_every_cut(self, window, guard, k_rank, rng):
-        # k_rank <= n_ref // 2: the screen's bound is <= 0, every CUT survives
+    def test_low_rank(self, window, guard, k_rank, rng):
+        # a rank at or below n_ref // 2, as an OsCfarConfig built directly may set
         base = make_os_cfar_config(1e-3, window=window, guard=guard)
         assert k_rank <= base.n_ref // 2
         cfg = replace(base, k_rank=k_rank, alpha=solve_alpha(1e-3, base.n_ref, k_rank))
@@ -274,23 +273,20 @@ class TestCountedFireMap:
         assert fires.any()
         assert np.array_equal(fires, sorted_fires(power, cfg)[0])
 
-    @pytest.mark.parametrize("high_rest,fires_want", [(0, True), (1, False)])
-    def test_first_half_count_at_the_screen_bound(self, high_rest, fires_want):
-        # one CUT whose first-half count is exactly k_rank - (n_ref - half):
-        # it survives, and the second half decides at count == k_rank
-        cfg = make_os_cfar_config(1e-3)
+    @pytest.mark.parametrize("window,guard", [((17, 7), (2, 1)), ((33, 11), (3, 2))])
+    @pytest.mark.parametrize("n_below,fires_want", [(0, True), (1, False)])
+    def test_count_exactly_at_k_rank(self, window, guard, n_below, fires_want):
+        # one CUT with k_rank - n_below scaled reference cells below it; the
+        # 33x11 window counts past 255, in uint16
+        cfg = make_os_cfar_config(1e-3, window=window, guard=guard)
         cols = reference_columns(cfg.window, cfg.guard)
-        half = cols.size // 2
-        bound = cfg.k_rank - (cols.size - half)
-        cells = np.ones(cfg.window[0] * cfg.window[1])
-        cells[cols[:half - bound]] = 4.0  # above the CUT once scaled
-        cells[cols[half:half + high_rest]] = 4.0
+        cells = np.full(cfg.window[0] * cfg.window[1], 4.0)  # above the CUT once scaled
+        cells[cols[:cfg.k_rank - n_below]] = 1.0
         cells[cells.size // 2] = 2.0 * cfg.alpha  # the CUT
-        power = cells.reshape(cfg.window)
-        assert np.count_nonzero(cfg.alpha * cells[cols[:half]] < cells[cells.size // 2]) == bound
-        fires, _ = os_cfar_fire_map(power, cfg)
+        assert np.count_nonzero(cfg.alpha * cells[cols] < cells[cells.size // 2]) == cfg.k_rank - n_below
+        fires, _ = os_cfar_fire_map(cells.reshape(cfg.window), cfg)
         assert fires.shape == (1, 1) and bool(fires[0, 0]) is fires_want
-        assert np.array_equal(fires, sorted_fires(power, cfg)[0])
+        assert np.array_equal(fires, sorted_fires(cells.reshape(cfg.window), cfg)[0])
 
 
 class TestEmpiricalRates:
