@@ -86,12 +86,24 @@ def _bases(knots, x, order):
 def bspline_design(knots, x, order: int = 3):
     """Basis matrix (len(x), n_basis); linear extrapolation outside the grid.
 
-    Inside [knots[order], knots[-order-1]] the rows partition unity.
-    Outside, each basis is continued linearly from the boundary so edge
-    activations extrapolate linearly.
+    x is a scalar (one row) or 1-D.  Inside [knots[order], knots[-order-1]]
+    the rows partition unity.  Outside, each basis is continued linearly
+    from the boundary so edge activations extrapolate linearly.
+
+    Every step is elementwise per row with constants taken from the knots
+    alone, so a row depends only on its own x.  Each distinct double is
+    therefore evaluated once and its row gathered back to every position
+    holding it: a histogram feature is a count over the 119 cells of a
+    segment, k/119, so it has at most 120 rows to build however many
+    windows a sweep scores.  Inputs share a row only when their bit
+    patterns are equal (0.0 and -0.0 stay apart).
     """
     knots = np.asarray(knots, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim > 1:
+        raise ValueError(f"x must be a scalar or 1-D, got shape {x.shape}")
+    bits, inverse = np.unique(np.ascontiguousarray(x).view(np.uint64), return_inverse=True)
+    x = bits.view(np.float64)
     lo, hi = knots[order], knots[-order - 1]
     xc = np.clip(x, lo, hi)
     out = _bases(knots, xc, order)
@@ -99,7 +111,7 @@ def bspline_design(knots, x, order: int = 3):
     if np.any(outside):
         d = bspline_design_deriv(knots, xc[outside], order)
         out[outside] += d * (x[outside] - xc[outside])[:, None]
-    return out
+    return out[inverse]
 
 
 def bspline_design_deriv(knots, x, order: int = 3):

@@ -39,8 +39,10 @@ class _Kind(NamedTuple):
 
 
 def _spline_value(term, x):
-    # n knots and k coeffs make a B-spline of order n - k - 1; einsum, unlike
-    # a BLAS matmul, gives a row the same value in a batch of any size
+    # n knots and k coeffs make a B-spline of order n - k - 1; the design
+    # builds one row per distinct x (at most 120 for histogram features)
+    # and raises on a 2-D x; einsum, unlike a BLAS matmul, gives a row the
+    # same value in a batch of any size
     order = len(term.knots) - len(term.coeffs) - 1
     design = bspline_design(np.asarray(term.knots), np.atleast_1d(x), order)
     return np.einsum("bi,i->b", design, np.asarray(term.coeffs)).reshape(x.shape)

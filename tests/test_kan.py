@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from rdkan.kan import (
     KanModel,
     PruneError,
+    _bases,
     _pack,
     _unpack,
     accuracy,
@@ -50,6 +51,48 @@ class TestSilu:
         assert silu(0.0) == 0.0
         assert silu(10.0) == pytest.approx(10.0, rel=1e-3)
         assert silu(-10.0) == pytest.approx(0.0, abs=1e-3)
+
+
+def design_all_rows(knots, x, order):
+    """bspline_design evaluated on every row, as it was before rows were
+    shared between equal inputs; the oracle for batch independence."""
+    knots = np.asarray(knots, dtype=float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    lo, hi = knots[order], knots[-order - 1]
+    xc = np.clip(x, lo, hi)
+    out = _bases(knots, xc, order)
+    outside = (x < lo) | (x > hi)
+    if np.any(outside):
+        d = bspline_design_deriv(knots, xc[outside], order)
+        out[outside] += d * (x[outside] - xc[outside])[:, None]
+    return out
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def design_inputs(draw):
+    """Knots at orders 1-3 and an x drawn with heavy repeats from a small
+    pool: histogram values k/119, their next doubles up, signed zeros, the
+    grid ends, and off-grid values past both ends."""
+    order = draw(st.integers(1, 3))
+    lo = draw(st.floats(-2.0, 1.0))
+    span = draw(st.floats(0.05, 3.0))
+    knots = uniform_knots(lo, lo + span, draw(st.integers(1, 8)), order)
+    hist = st.integers(0, 119).map(lambda k: k / 119)
+    pool = draw(st.lists(
+        st.one_of(
+            hist,
+            hist.map(lambda v: float(np.nextafter(v, 2.0))),
+            st.sampled_from([0.0, -0.0, knots[order], knots[-order - 1]]),
+            st.floats(lo - 2 * span, lo + 3 * span),
+        ),
+        min_size=1, max_size=12,
+    ))
+    x = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80)), dtype=float)
+    return knots, order, x
 
 
 class TestBsplineBasis:
@@ -99,6 +142,30 @@ class TestBsplineBasis:
         # same on the low side
         xl = np.array([-0.9, -0.6, -0.3])
         assert np.allclose(np.diff(f(xl), 2), 0.0, atol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=design_inputs())
+    def test_rows_depend_only_on_their_own_input(self, case):
+        # rows are shared between equal doubles; the bytes must be those of
+        # evaluating every row, and of evaluating each row on its own
+        knots, order, x = case
+        design = bspline_design(knots, x, order)
+        assert design.dtype == np.float64 and design.flags.c_contiguous
+        assert same_bytes(design, design_all_rows(knots, x, order))
+        one_by_one = np.concatenate([bspline_design(knots, x[i:i + 1], order) for i in range(len(x))])
+        assert same_bytes(design, one_by_one)
+
+    def test_scalar_and_empty_shapes(self):
+        knots = uniform_knots(0.0, 1.0)
+        scalar = bspline_design(knots, 0.25)
+        assert scalar.shape == (1, 6) and scalar.flags.c_contiguous
+        assert same_bytes(scalar, design_all_rows(knots, 0.25, 3))
+        empty = bspline_design(knots, np.array([]))
+        assert empty.shape == (0, 6) and empty.dtype == np.float64
+
+    def test_rejects_2d_input(self):
+        with pytest.raises(ValueError, match=r"\(4, 9\)"):
+            bspline_design(uniform_knots(0.0, 1.0), np.zeros((4, 9)))
 
 
 class TestModelEvaluation:

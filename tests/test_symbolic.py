@@ -85,6 +85,12 @@ class TestTerms:
         value = term_value(Term("spline", 0, (), tuple(knots), tuple(coeffs)), x)
         assert np.allclose(value, bspline_design(knots, x, order) @ coeffs, rtol=0.0, atol=1e-12)
 
+    def test_spline_term_rejects_2d_input(self):
+        knots = uniform_knots(0.0, 1.0)
+        term = Term("spline", 0, (), tuple(knots), tuple(np.ones(6)))
+        with pytest.raises(ValueError, match=r"\(4, 9\)"):
+            term_value(term, np.zeros((4, 9)))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(RuleError):
             Term("tanh", 0, (1.0,))
