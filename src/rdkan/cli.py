@@ -90,6 +90,8 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.scene:
         scene, config, sigma, snr = radarsim.scene_from_json(args.scene)
+        if not scene:
+            raise CliError(f"{args.scene}: scene has no targets")
         if args.snr is not None:
             snr, sigma = args.snr, None
     else:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit
 
 
@@ -148,10 +147,6 @@ class KanModel:
     @property
     def n_out(self) -> int:
         return self.coeffs.shape[0]
-
-    @property
-    def n_basis(self) -> int:
-        return self.grid_count + self.order
 
     def active_inputs(self) -> np.ndarray:
         return np.flatnonzero(self.edge_mask.any(axis=0))
@@ -312,6 +307,8 @@ class _Stop(Exception):
 
 def _run_lbfgs(model, X, y, l1, maxiter, sample_weight, history):
     """One L-BFGS leg on fixed grids; history accumulates per-iteration loss."""
+    from scipy.optimize import minimize  # here, not at module top: detection never optimizes
+
     state = {"theta": _pack(model), "f": np.inf}
     design = _design_stack(model, X)  # grids are fixed for the whole leg
 
@@ -532,7 +529,8 @@ def load_model(path) -> KanModel:
     """Read a checkpoint; a missing key, n_in below 2 (one input per
     histogram bin, and a histogram has at least 2), n_out other than 2 (H0
     and H1 logits), an array shaped unlike n_in, n_out, order and
-    grid_count imply, or a non-finite value raises ValueError."""
+    grid_count imply, a non-finite value or a meta that is not an object
+    raises ValueError."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or doc.get("format") != "rdkan-checkpoint-v1":
         raise ValueError(f"{path}: not a model checkpoint")
@@ -559,5 +557,8 @@ def load_model(path) -> KanModel:
             raise ValueError(f"{path}: {key} has non-finite values")
     if not np.all(np.diff(arrays["knots"], axis=1) > 0):
         raise ValueError(f"{path}: knots must increase along each row")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: meta must be an object, got {type(meta).__name__}")
     return KanModel(edge_mask=arrays.pop("edge_mask") != 0, order=order, grid_count=grid_count,
-                    meta=doc.get("meta", {}), **arrays)
+                    meta=meta, **arrays)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -72,17 +72,13 @@ class RadarConfig:
         for name in ("n_samples", "n_chirps"):
             if not _is_pow2(getattr(self, name)):
                 raise ConfigError(f"{name} must be a power of two, got {getattr(self, name)}")
-        if self.slope * self.n_samples / self.fs >= self.f0:
+        if self.bandwidth >= self.f0:
             raise ConfigError("chirp bandwidth must stay below the carrier")
 
     @property
     def bandwidth(self) -> float:
         """Swept bandwidth over the sampled part of the chirp, Hz."""
         return self.slope * self.n_samples / self.fs
-
-    @property
-    def wavelength(self) -> float:
-        return C / self.f0
 
 
 @dataclass(frozen=True)
@@ -95,13 +91,6 @@ class MapGeometry:
     max_abs_velocity: float  # +-max unambiguous velocity, m/s
     n_range: int
     n_doppler: int
-
-    def range_axis(self) -> np.ndarray:
-        return np.arange(self.n_range) * self.range_res
-
-    def velocity_axis(self) -> np.ndarray:
-        """Doppler-centered axis: bin n_doppler//2 is zero velocity."""
-        return (np.arange(self.n_doppler) - self.n_doppler // 2) * self.vel_res
 
     def range_to_bin(self, range_m: float) -> int:
         return int(round(range_m / self.range_res))
@@ -399,19 +388,47 @@ def scene_to_json(path, scene, config: RadarConfig, noise_sigma=None, snr_db=Non
 
 
 def scene_from_json(path):
-    """Returns (scene, config, noise_sigma, snr_db) with scatterers replayed exactly."""
+    """Returns (scene, config, noise_sigma, snr_db) with scatterers replayed exactly.
+
+    A file that does not hold a scene raises SceneError naming it: a
+    missing config or targets, a config RadarConfig refuses, targets or
+    scatterers that are not a list of objects with exactly the fields
+    scene_to_json writes, or a number that is not finite (noise_sigma and
+    snr_db may also be null or absent).
+    """
     doc = json.loads(Path(path).read_text())
-    config = RadarConfig(**doc["config"])
-    scene = [
-        ExtendedTarget(
-            range_m=t["range_m"],
-            velocity_mps=t["velocity_mps"],
-            rcs_dbsm=t["rcs_dbsm"],
-            aspect=t["aspect"],
-            extent_r=t["extent_r"],
-            extent_v=t["extent_v"],
-            scatterers=tuple(Scatterer(**s) for s in t["scatterers"]),
+
+    def number(where, value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise SceneError(f"{path}: {where} must be a finite number, got {value!r}")
+        return float(value)
+
+    def records(where, value, cls):
+        """value as a list of objects whose keys are exactly cls's fields."""
+        keys = {f.name for f in fields(cls)}
+        if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+            raise SceneError(f"{path}: {where} must be a list of objects")
+        for k, v in enumerate(value):
+            if v.keys() != keys:
+                raise SceneError(f"{path}: {where}[{k}] has keys {sorted(v)}, expected {sorted(keys)}")
+        return value
+
+    if not isinstance(doc, dict) or not {"config", "targets"} <= doc.keys():
+        raise SceneError(f"{path}: not a scene (expected an object with config and targets)")
+    try:
+        config = RadarConfig(**doc["config"])
+    except (TypeError, ConfigError) as err:
+        raise SceneError(f"{path}: bad config: {err}") from None
+    scene = []
+    for k, t in enumerate(records("targets", doc["targets"], ExtendedTarget)):
+        where = f"targets[{k}]"
+        scatterers = tuple(
+            Scatterer(**{key: number(f"{where}.scatterers[{j}].{key}", v) for key, v in s.items()})
+            for j, s in enumerate(records(f"{where}.scatterers", t["scatterers"], Scatterer))
         )
-        for t in doc["targets"]
-    ]
-    return scene, config, doc.get("noise_sigma"), doc.get("snr_db")
+        numbers = {key: number(f"{where}.{key}", v) for key, v in t.items()
+                   if key not in ("aspect", "scatterers")}
+        scene.append(ExtendedTarget(aspect=t["aspect"], scatterers=scatterers, **numbers))
+    sigma, snr = (None if doc.get(key) is None else number(key, doc[key])
+                  for key in ("noise_sigma", "snr_db"))
+    return scene, config, sigma, snr

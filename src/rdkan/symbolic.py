@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .kan import KanModel, bspline_design, edge_value, load_model, silu
 
@@ -143,6 +142,8 @@ def is_fully_symbolic(rule: DecisionRule) -> bool:
 
 def rule_crossover(rule: DecisionRule) -> float:
     """Value of x0 in [0, 1] where the decision flips, all others at zero."""
+    from scipy.optimize import brentq  # here, not at module top: detection never optimizes
+
     def margin(v):
         x = np.zeros((1, rule.m_bins))
         x[0, 0] = v
@@ -222,6 +223,8 @@ def _fit_shape(y, basis, starts, xatol):
     """Best c*basis(*p) + d: grid search over starts, then a Nelder-Mead
     refine of the winner; returns (c, p, d, r2), the grid winner if the
     refine did worse."""
+    from scipy.optimize import minimize  # here, not at module top: detection never optimizes
+
     best = None
     for p in starts:
         c, d, r2 = _affine_ls(y, basis(*p))

@@ -1,6 +1,9 @@
 """Command line flows and exit codes, driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -186,7 +189,7 @@ class TestExitCodes:
         assert "detection(s)" not in out
 
     @pytest.mark.parametrize("defect", ["no-base-scale", "one-row-edge-mask", "null-base-scale",
-                                        "one-input"])
+                                        "one-input", "meta-list"])
     def test_malformed_checkpoint_is_failure(self, defect, tmp_path, capsys):
         cube_path = tmp_path / "c.bin"
         assert run(capsys, "simulate", "--out", str(cube_path), "--seed", "0")[0] == 0
@@ -199,6 +202,8 @@ class TestExitCodes:
             del doc["base_scale"]
         elif defect == "one-row-edge-mask":
             doc["edge_mask"] = doc["edge_mask"][:1]
+        elif defect == "meta-list":
+            doc["meta"] = [1]
         else:
             doc["base_scale"][0][0] = None
         model_path.write_text(json.dumps(doc))
@@ -207,6 +212,36 @@ class TestExitCodes:
         # refused by load_model, whose messages name the file
         assert err.startswith(f"error: {model_path}:")
         assert "detection(s)" not in out
+
+    @pytest.mark.parametrize("defect", ["no-targets", "unknown-scatterer-key", "targets-object",
+                                        "top-level-list", "string-amplitude", "no-target",
+                                        "nan-range"])
+    def test_malformed_scene_is_failure(self, defect, tmp_path, capsys):
+        scene_path = tmp_path / "scene.json"
+        assert run(capsys, "simulate", "--out", str(tmp_path / "c.bin"), "--seed", "0",
+                   "--scene-out", str(scene_path))[0] == 0
+        doc = json.loads(scene_path.read_text())
+        target = doc["targets"][0]
+        if defect == "no-targets":
+            del doc["targets"]
+        elif defect == "unknown-scatterer-key":
+            target["scatterers"][0]["weight"] = 1.0
+        elif defect == "targets-object":
+            doc["targets"] = target
+        elif defect == "top-level-list":
+            doc = [doc]
+        elif defect == "string-amplitude":
+            target["scatterers"][0]["amplitude"] = "loud"
+        elif defect == "no-target":
+            doc["targets"] = []
+        else:
+            target["range_m"] = float("nan")
+        scene_path.write_text(json.dumps(doc))
+        replay_path = tmp_path / "replay.bin"
+        code, _, err = run(capsys, "simulate", "--out", str(replay_path), "--scene", str(scene_path))
+        assert code == EXIT_FAILURE
+        assert err.startswith(f"error: {scene_path}:")
+        assert not replay_path.exists()
 
     @pytest.mark.parametrize("command", ["snap", "eval"])
     def test_one_input_checkpoint_is_failure(self, command, tmp_path, capsys):
@@ -360,3 +395,19 @@ class TestBenchmarkTraceHooks:
         assert tracer.missing == []
         assert tracer.counters["hook_errors"] == 0
         assert tracer.counters["sweep_hits"] > 0
+
+
+class TestImports:
+    def test_detection_path_loads_no_optimizer(self):
+        # only train, snap and rule_crossover minimize or root-find, so the
+        # detect and eval imports leave scipy.optimize unloaded, and the
+        # OS-CFAR baseline imports no other rdkan module
+        probe = ("import json, sys, rdkan.oscfar\n"
+                 "alone = sorted(m for m in sys.modules if m.startswith('rdkan'))\n"
+                 "import rdkan.pipeline, rdkan.harness, rdkan.cli\n"
+                 "print(json.dumps([alone, 'scipy.optimize' in sys.modules]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [["rdkan", "rdkan.oscfar"], False]

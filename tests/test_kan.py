@@ -388,6 +388,7 @@ class TestCheckpoint:
         "one-output": "n_out 2",
         "repeated-knot": "knots must increase",
         "one-input": "n_in must be >= 2",
+        "meta-list": "meta must be an object",
     }
 
     @pytest.mark.parametrize("defect", MALFORMED)
@@ -415,6 +416,8 @@ class TestCheckpoint:
             doc["spline_scale"][0][1] = "one"
         elif defect == "fractional-grid-count":
             doc["grid_count"] = 3.5
+        elif defect == "meta-list":
+            doc["meta"] = [1]
         elif defect == "one-output":
             doc["n_out"] = 1
             for key in ("coeffs", "base_scale", "spline_scale", "edge_mask"):

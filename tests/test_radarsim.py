@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rdkan.radarsim import (
-    C,
     R_REF,
     RCS_BANDS_DBSM,
     ConfigError,
@@ -70,14 +69,6 @@ class TestGeometry:
             )
         assert geometry.velocity_to_bin(0.0) == 64
 
-    def test_axes(self, geometry):
-        ra = geometry.range_axis()
-        va = geometry.velocity_axis()
-        assert ra.shape == (256,) and va.shape == (128,)
-        assert ra[1] - ra[0] == pytest.approx(geometry.range_res)
-        assert va[64] == 0.0
-        assert va[0] == pytest.approx(-64 * geometry.vel_res)
-
     def test_scaling_with_config(self):
         # Twice the chirps halves the velocity cell, range cell untouched.
         base = derive_geometry(RadarConfig())
@@ -101,7 +92,6 @@ class TestConfigValidation:
 
     def test_bandwidth_property(self, config):
         assert config.bandwidth == pytest.approx(16.67e12 * 256 / 10.0e6)
-        assert config.wavelength == pytest.approx(C / 77.0e9)
 
 
 class TestSynthClean:
