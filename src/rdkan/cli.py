@@ -98,7 +98,12 @@ def cmd_simulate(args) -> int:
         scenario = _scenario(args.scenario)
         scene = datasets.sample_scene(scenario, rng)
         snr, sigma = args.snr, None if args.snr is not None else scenario.noise_sigma
-    cube = radarsim.synth_if_cube(scene, config, snr_db=snr, noise_sigma=sigma, rng=rng)
+    try:
+        cube = radarsim.synth_if_cube(scene, config, snr_db=snr, noise_sigma=sigma, rng=rng)
+    except radarsim.SceneError as err:
+        if not args.scene:
+            raise
+        raise CliError(f"{args.scene}: {err}") from None
     radarsim.save_cube(args.out, cube)
     target = scene[0]
     print(f"wrote {args.out}: {cube.samples.shape[0]}x{cube.samples.shape[1]} cube, "

@@ -226,6 +226,8 @@ def sample_target(
 
 def _validate_scene(scene, config, geometry):
     for k, tgt in enumerate(scene):
+        if not tgt.scatterers:
+            raise SceneError(f"target {k} has no scatterers")
         dr, dv, _, _ = tgt.scatterer_arrays()
         r_lo = tgt.range_m + dr.min()
         r_hi = tgt.range_m + dr.max()

@@ -215,7 +215,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("defect", ["no-targets", "unknown-scatterer-key", "targets-object",
                                         "top-level-list", "string-amplitude", "no-target",
-                                        "nan-range"])
+                                        "nan-range", "no-scatterers"])
     def test_malformed_scene_is_failure(self, defect, tmp_path, capsys):
         scene_path = tmp_path / "scene.json"
         assert run(capsys, "simulate", "--out", str(tmp_path / "c.bin"), "--seed", "0",
@@ -234,6 +234,8 @@ class TestExitCodes:
             target["scatterers"][0]["amplitude"] = "loud"
         elif defect == "no-target":
             doc["targets"] = []
+        elif defect == "no-scatterers":
+            target["scatterers"] = []  # scene_from_json takes it; synthesis refuses it
         else:
             target["range_m"] = float("nan")
         scene_path.write_text(json.dumps(doc))

@@ -14,6 +14,7 @@ from rdkan.kan import (
     _bases,
     _pack,
     _unpack,
+    _value_tables,
     accuracy,
     bspline_design,
     bspline_design_deriv,
@@ -244,6 +245,143 @@ class TestLossGradients:
         assert np.all(dc[:, 1, :] == 0.0)
         assert np.all(db[:, 1] == 0.0)
         assert np.all(ds[:, 1] == 0.0)
+
+
+def activations_row_wise(model, X):
+    """Every edge on every row, as training evaluated them before edges
+    were tabled per distinct input value: (basis stack (r, b, i), silu(X),
+    spline part (b, q, r), masked phi (b, q, r))."""
+    design = np.stack([bspline_design(model.knots[r], X[:, r], model.order)
+                       for r in range(model.n_in)])
+    silu_x = silu(X)
+    spline = np.einsum("rbi,qri->bqr", design, model.coeffs)
+    act = model.base_scale[None] * silu_x[:, None, :] + model.spline_scale[None] * spline
+    return design, silu_x, spline, act * model.edge_mask[None]
+
+
+def loss_and_grad_row_wise(model, X, y, l1=0.0, sample_weight=None):
+    """The row-wise loss_and_grad: the oracle for the value tables."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n = X.shape[0]
+    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=float)
+    wsum = w.sum()
+
+    design, silu_x, spline, act = activations_row_wise(model, X)
+    logits = act.sum(axis=2)
+
+    zmax = logits.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
+    ce = float(np.sum(w * (lse - logits[np.arange(n), y])) / wsum)
+
+    eps = 1e-12
+    smooth = np.sqrt(act * act + eps)
+    reg = float(l1 * smooth.mean(axis=0).sum())
+
+    prob = np.exp(logits - lse[:, None])
+    dlogits = prob
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits *= (w / wsum)[:, None]
+
+    dact = dlogits[:, :, None] + l1 * (act / smooth) / n
+    dact = dact * model.edge_mask[None]
+
+    dbase = np.einsum("bqr,br->qr", dact, silu_x)
+    dspline_scale = np.einsum("bqr,bqr->qr", dact, spline)
+    dcoeffs = np.einsum("bqr,rbi->qri", dact * model.spline_scale[None], design)
+    return ce + reg, (dcoeffs, dbase, dspline_scale)
+
+
+# table sums run over distinct values, the oracle's over rows; only the
+# summation order differs, so every value agrees to this relative bound
+TABLE_TOL = 1e-12
+
+
+@st.composite
+def training_cases(draw):
+    """A training-shaped model (cubic, 3 intervals) with random knots,
+    scales, coeffs and edge masks, some inputs fully masked, and a batch
+    drawn either from tied histogram values k/119 or from generic doubles
+    that reach past both grid ends."""
+    n_in, n = draw(st.integers(2, 10)), draw(st.integers(2, 60))
+    edges = (2, n_in)
+    params = st.floats(-3.0, 3.0)
+    knots = np.stack([uniform_knots(lo, lo + width)
+                      for lo, width in draw(st.lists(st.tuples(st.floats(-0.5, 0.5),
+                                                               st.floats(0.5, 1.5)),
+                                                     min_size=n_in, max_size=n_in))])
+    mask = draw(arrays(bool, edges))
+    mask[:, draw(st.lists(st.integers(0, n_in - 1), max_size=n_in))] = False
+    model = KanModel(
+        knots=knots,
+        coeffs=draw(arrays(np.float64, edges + (6,), elements=params)),
+        base_scale=draw(arrays(np.float64, edges, elements=params)),
+        spline_scale=draw(arrays(np.float64, edges, elements=params)),
+        edge_mask=mask,
+    )
+    values = draw(st.sampled_from([st.integers(0, 119).map(lambda k: k / 119),
+                                   st.floats(-0.5, 1.5)]))
+    X = draw(arrays(np.float64, (n, n_in), elements=values))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    weight = draw(st.one_of(st.none(), arrays(np.float64, n, elements=st.floats(0.1, 10.0))))
+    return model, X, y, weight, draw(st.sampled_from([0.0, 8e-3, 0.1]))
+
+
+class TestValueTables:
+    @settings(max_examples=150, deadline=None)
+    @given(case=training_cases())
+    def test_loss_and_grad_equals_row_wise_reference(self, case):
+        model, X, y, weight, l1 = case
+        loss, grads = loss_and_grad(model, X, y, l1, weight)
+        want_loss, want_grads = loss_and_grad_row_wise(model, X, y, l1, weight)
+        assert abs(loss - want_loss) <= TABLE_TOL * (1.0 + abs(want_loss))
+        for got, want in zip(grads, want_grads):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= TABLE_TOL * (1.0 + np.abs(want)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=training_cases())
+    def test_edge_activations_equal_row_wise_bit_for_bit(self, case):
+        # prune and the input-drop loop of fit_sparse rank edges by these
+        model, X, _, _, _ = case
+        act = edge_activations(model, X)
+        assert same_bytes(act, activations_row_wise(model, X)[3])
+        assert same_bytes(forward(model, X), act.sum(axis=2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=training_cases(), data=st.data())
+    def test_unused_input_costs_nothing(self, case, data):
+        # a fully masked input never enters the loss, so rewriting its
+        # column leaves loss and gradients bit-identical
+        model, X, y, weight, l1 = case
+        r = data.draw(st.integers(0, model.n_in - 1))
+        model.edge_mask[:, r] = False
+        other = X.copy()
+        other[:, r] = data.draw(arrays(np.float64, X.shape[0], elements=st.floats(-1e3, 1e3)))
+        loss, grads = loss_and_grad(model, X, y, l1, weight)
+        other_loss, other_grads = loss_and_grad(model, other, y, l1, weight)
+        assert loss.hex() == other_loss.hex()
+        for a, b in zip(grads, other_grads):
+            assert same_bytes(a, b)
+
+    def test_tables_hold_each_distinct_value_once(self):
+        model = init_model(2, np.random.default_rng(0))
+        X = np.array([[3 / 119, 0.0], [0.0, 0.5], [3 / 119, -0.0], [0.0, 0.0]])
+        for r, (inverse, counts, silu_u, design) in enumerate(_value_tables(model, X)):
+            assert same_bytes(silu_u[inverse], silu(X[:, r]))
+            assert same_bytes(design[inverse], bspline_design(model.knots[r], X[:, r]))
+            # signed zeros stay apart, as in bspline_design
+            assert counts.tolist() == [[2, 2], [2, 1, 1]][r]
+
+    def test_tables_passed_in_equal_tables_built(self, rng):
+        X, y = toy_problem(120)
+        model = init_model(2, rng)
+        model.edge_mask[1, 1] = False
+        built = loss_and_grad(model, X, y, 8e-3)
+        passed = loss_and_grad(model, X, y, 8e-3, tables=_value_tables(model, X))
+        assert built[0] == passed[0]
+        for a, b in zip(built[1], passed[1]):
+            assert same_bytes(a, b)
 
 
 class TestFit:

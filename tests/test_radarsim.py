@@ -1,5 +1,7 @@
 """Scene synthesis: geometry, tone placement, SNR definition, serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,11 @@ class TestSynthClean:
 
     def test_empty_scene_is_silent(self, config):
         assert np.all(synth_clean_cube([], config) == 0)
+
+    def test_target_without_scatterers_is_refused(self, config):
+        hollow = dataclasses.replace(point_target(50.0, 0.0), scatterers=())
+        with pytest.raises(SceneError, match="target 1 has no scatterers"):
+            synth_clean_cube([point_target(30.0, 0.0), hollow], config)
 
 
 class TestSampleTarget:
