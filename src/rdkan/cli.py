@@ -147,7 +147,7 @@ def cmd_train(args) -> int:
     active = result.model.active_inputs()
     print(f"{mode}; train acc {result.train_accuracy:.4f}, "
           f"val acc {result.val_accuracy:.4f}, "
-          f"{int(result.model.edge_mask.sum())} edges on inputs {list(active)}")
+          f"{int(result.model.edge_mask.sum())} edges on inputs {active.tolist()}")
     print(f"wrote {args.out}")
     return 0
 

@@ -11,17 +11,20 @@ memory 10, Wolfe line search) on softmax cross-entropy with a small
 smoothed-L1 penalty on edge activations so uninformative edges shrink
 below the prune thresholds.  Gradients are computed analytically.  The
 penalty weight l1 is the only training argument; the iteration budget
-(MAX_ITER, with one grid re-fit at GRID_REFRESH_AT) is fixed.
+(MAX_ITER, with one grid re-fit at GRID_REFRESH_AT) is fixed.  A loss
+that is not finite raises TrainingError at the evaluation that sees it.
 
 An edge depends on one input, and a histogram feature is a count over
 the 119 cells of a segment, k/119, so an input holds at most 120 distinct
 doubles however many rows there are.  Each L-BFGS leg therefore builds
-per-input value tables once (distinct values, row index, counts, silu and
-basis rows); every loss evaluation computes each unmasked edge once per
-distinct value and gathers or count-weights it back to the rows.  Loss
-and gradients agree with evaluating every row to 1e-12 * (1 + |value|);
-edge_activations, and so forward, prune and accuracy, gather the same
-tables back to rows and are bit-identical to it.
+value tables once (distinct values, row index, counts, silu and basis
+rows) for each input with an unmasked edge; every loss evaluation
+computes each unmasked edge once per distinct value and gathers or
+count-weights it back to the rows.  Loss and gradients agree with
+evaluating every row to 1e-12 * (1 + |value|); edge_activations, and so
+forward, prune and accuracy, gather the same tables back to rows and are
+bit-identical to it on those inputs (an input with no unmasked edge
+reads +0.0).
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ L1 = 8e-3                   # default activation sparsity weight
 STOP_TOL = 1e-7             # stop when the loss falls by less than this ...
 STOP_PATIENCE = 5           # ... over this many iterations
 LBFGS_MEMORY = 10
-MAX_RESTARTS = 3            # damped restarts after a non-finite loss
 PRUNE_ROUNDS = 3            # prune-refit rounds in fit_sparse
 DROP_ACC_SLACK = 1e-3       # accuracy fit_sparse may give up per dropped input
 PRUNE_NODE_THRESHOLD = 0.01
@@ -202,18 +204,20 @@ def update_grids(model: KanModel, X, refit: bool = True) -> None:
 
 
 def _value_tables(model, X):
-    """Per input r, over its distinct values u (bit patterns, as in
-    bspline_design): (inverse, counts, silu(u), bspline_design(knots_r, u)).
+    """{r: (inverse, counts, silu(u), bspline_design(knots_r, u))} for each
+    input r with an unmasked edge, over its distinct values u (bit
+    patterns, as in bspline_design).
 
     Row b of input r is value inverse[b].  The tables depend only on
-    (knots, X), so an L-BFGS leg on fixed grids builds them once.
+    (knots, edge_mask, X), so an L-BFGS leg on fixed grids and a fixed
+    mask builds them once.
     """
-    tables = []
-    for r in range(model.n_in):
+    tables = {}
+    for r in model.active_inputs():
         bits, inverse, counts = np.unique(np.ascontiguousarray(X[:, r]).view(np.uint64),
                                           return_inverse=True, return_counts=True)
         u = bits.view(np.float64)
-        tables.append((inverse, counts, silu(u), bspline_design(model.knots[r], u, model.order)))
+        tables[r] = (inverse, counts, silu(u), bspline_design(model.knots[r], u, model.order))
     return tables
 
 
@@ -229,8 +233,8 @@ def edge_activations(model: KanModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.n_in:
         raise ValueError(f"expected {model.n_in} inputs, got {X.shape[1]}")
-    act = np.empty((X.shape[0], model.n_out, model.n_in))
-    for r, (inverse, _, silu_u, design) in enumerate(_value_tables(model, X)):
+    act = np.zeros((X.shape[0], model.n_out, model.n_in))
+    for r, (inverse, _, silu_u, design) in _value_tables(model, X).items():
         act[:, :, r] = np.take(_edge_table(model, r, silu_u, design)[1], inverse, axis=1).T
     return act
 
@@ -266,7 +270,6 @@ class TrainResult:
     loss_history: list
     train_accuracy: float
     val_accuracy: float | None
-    n_iter: int
 
 
 def _pack(model):
@@ -295,8 +298,9 @@ def loss_and_grad(model: KanModel, X, y, l1: float = 0.0, sample_weight=None, ta
     constant penalty sqrt(eps).  Against the row-wise form only the
     order of the sums over rows and inputs differs, so loss and gradients
     agree with it to 1e-12 * (1 + |value|) (tests/test_kan.py holds it as
-    an oracle).  The tables depend only on (knots, X); callers looping
-    over parameters on a fixed grid should pass tables=_value_tables(model, X).
+    an oracle).  The tables depend only on (knots, edge_mask, X); callers
+    looping over parameters on a fixed grid and mask should pass
+    tables=_value_tables(model, X).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -342,12 +346,13 @@ def loss_and_grad(model: KanModel, X, y, l1: float = 0.0, sample_weight=None, ta
     return ce + l1 * penalty, (dcoeffs, dbase, dspline_scale)
 
 
-class _Stop(Exception):
+class _Converged(Exception):
     pass
 
 
 def _run_lbfgs(model, X, y, l1, maxiter, sample_weight, history):
-    """One L-BFGS leg on fixed grids; history accumulates per-iteration loss."""
+    """One L-BFGS leg on fixed grids; history accumulates per-iteration
+    loss.  Returns whether the stopping rule fired."""
     from scipy.optimize import minimize  # here, not at module top: detection never optimizes
 
     state = {"theta": _pack(model), "f": np.inf}
@@ -357,7 +362,7 @@ def _run_lbfgs(model, X, y, l1, maxiter, sample_weight, history):
         _unpack(model, theta)
         loss, (dc, db, ds) = loss_and_grad(model, X, y, l1, sample_weight, tables)
         if not np.isfinite(loss):
-            raise _Stop("diverged")
+            raise TrainingError("non-finite loss")
         if loss < state["f"]:
             state["theta"], state["f"] = theta.copy(), loss
         grad = np.concatenate([dc.ravel(), db.ravel(), ds.ravel()])
@@ -368,7 +373,7 @@ def _run_lbfgs(model, X, y, l1, maxiter, sample_weight, history):
         history.append(state["last_f"])
         if len(history) > STOP_PATIENCE:
             if history[-STOP_PATIENCE - 1] - history[-1] < STOP_TOL:
-                raise _Stop("converged")
+                raise _Converged
 
     converged = False
     try:
@@ -380,9 +385,7 @@ def _run_lbfgs(model, X, y, l1, maxiter, sample_weight, history):
             callback=callback,
             options={"maxiter": maxiter, "maxcor": LBFGS_MEMORY, "ftol": 0.0, "gtol": 1e-14},
         )
-    except _Stop as stop:
-        if str(stop) == "diverged":
-            raise TrainingError("non-finite loss") from None
+    except _Converged:
         converged = True
     _unpack(model, state["theta"])
     return converged
@@ -399,8 +402,7 @@ def fit(
 
     Grids are set to the empirical range of each input before training
     and re-fitted once after GRID_REFRESH_AT of at most MAX_ITER
-    iterations.  A non-finite loss triggers a restart from a damped
-    re-initialization, at most MAX_RESTARTS times.
+    iterations.  A loss that is not finite raises TrainingError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -412,31 +414,12 @@ def fit(
         raise ValueError(f"labels must be in 0..{model.n_out - 1}")
     if len(np.unique(y)) < 2:
         raise ValueError("need samples from both classes")
-    weight = None if sample_weight is None else np.asarray(sample_weight, dtype=float)
 
-    rng = np.random.default_rng(0)
-    init_coeffs = model.coeffs.copy()
-    init_base = model.base_scale.copy()
-    init_spline = model.spline_scale.copy()
-
-    for attempt in range(MAX_RESTARTS + 1):
-        try:
-            update_grids(model, X, refit=attempt == 0 and bool(model.meta.get("trained")))
-            history: list = []
-            converged = _run_lbfgs(model, X, y, l1, GRID_REFRESH_AT, weight, history)
-            if not converged:
-                update_grids(model, X, refit=True)
-                _run_lbfgs(model, X, y, l1, MAX_ITER - GRID_REFRESH_AT, weight, history)
-            break
-        except TrainingError:
-            if attempt == MAX_RESTARTS:
-                raise TrainingError(
-                    f"loss stayed non-finite after {MAX_RESTARTS} damped restarts"
-                ) from None
-            damp = 0.5 ** (attempt + 1)
-            model.coeffs = init_coeffs * damp + rng.normal(0, 1e-3, init_coeffs.shape)
-            model.base_scale = init_base * damp
-            model.spline_scale = init_spline * damp
+    update_grids(model, X, refit=bool(model.meta.get("trained")))
+    history: list = []
+    if not _run_lbfgs(model, X, y, l1, GRID_REFRESH_AT, sample_weight, history):
+        update_grids(model, X, refit=True)
+        _run_lbfgs(model, X, y, l1, MAX_ITER - GRID_REFRESH_AT, sample_weight, history)
 
     model.meta["trained"] = True
     val_acc = accuracy(model, X_val, y_val) if X_val is not None else None
@@ -445,7 +428,6 @@ def fit(
         loss_history=history,
         train_accuracy=accuracy(model, X, y),
         val_accuracy=val_acc,
-        n_iter=len(history),
     )
 
 

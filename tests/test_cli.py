@@ -71,6 +71,8 @@ class TestFullFlow:
         assert "train acc" in out
         model = load_model(model_path)
         assert model.n_in == 10
+        # plain ints, not numpy scalar reprs
+        assert out.splitlines()[0].endswith(f"on inputs {model.active_inputs().tolist()}")
 
         # distillation into a rule, then detection with that rule
         rule_path = tmp_path / "rule.json"

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from rdkan.kan import (
     KanModel,
     PruneError,
+    TrainingError,
     _bases,
     _pack,
     _unpack,
@@ -345,7 +346,11 @@ class TestValueTables:
         # prune and the input-drop loop of fit_sparse rank edges by these
         model, X, _, _, _ = case
         act = edge_activations(model, X)
-        assert same_bytes(act, activations_row_wise(model, X)[3])
+        active = model.active_inputs()
+        assert same_bytes(act[:, :, active], activations_row_wise(model, X)[3][:, :, active])
+        # an input with no unmasked edge has no table and reads +0.0
+        masked = np.setdiff1d(np.arange(model.n_in), active)
+        assert not np.signbit(act[:, :, masked]).any() and not act[:, :, masked].any()
         assert same_bytes(forward(model, X), act.sum(axis=2))
 
     @settings(max_examples=60, deadline=None)
@@ -365,9 +370,13 @@ class TestValueTables:
             assert same_bytes(a, b)
 
     def test_tables_hold_each_distinct_value_once(self):
-        model = init_model(2, np.random.default_rng(0))
-        X = np.array([[3 / 119, 0.0], [0.0, 0.5], [3 / 119, -0.0], [0.0, 0.0]])
-        for r, (inverse, counts, silu_u, design) in enumerate(_value_tables(model, X)):
+        model = init_model(3, np.random.default_rng(0))
+        model.edge_mask[:, 2] = False
+        X = np.array([[3 / 119, 0.0, 1.0], [0.0, 0.5, 1.0], [3 / 119, -0.0, 1.0], [0.0, 0.0, 1.0]])
+        tables = _value_tables(model, X)
+        # a fully masked input is never read, so it gets no table
+        assert sorted(tables) == [0, 1]
+        for r, (inverse, counts, silu_u, design) in tables.items():
             assert same_bytes(silu_u[inverse], silu(X[:, r]))
             assert same_bytes(design[inverse], bspline_design(model.knots[r], X[:, r]))
             # signed zeros stay apart, as in bspline_design
@@ -392,9 +401,18 @@ class TestFit:
         result = fit(model, X, y, Xv, yv)
         assert result.train_accuracy == 1.0
         assert result.val_accuracy == 1.0
-        assert result.n_iter > 0
+        assert len(result.loss_history) > 0
         assert result.loss_history[-1] < result.loss_history[0]
         assert model.meta["trained"] is True
+
+    @pytest.mark.parametrize("l1", [0.0, 8e-3])
+    def test_non_finite_loss_raises(self, l1, rng):
+        # finite features near 1e200 overflow the logits: NaN loss without
+        # the penalty, inf with it
+        X, y = toy_problem(60)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError, match="non-finite"):
+                fit(init_model(2, rng), X * 1e200, y, l1=l1)
 
     def test_validation_errors(self, rng):
         model = init_model(2, rng)
