@@ -360,7 +360,10 @@ def _run_lbfgs(model, X, y, l1, maxiter, sample_weight, history):
 
     def objective(theta):
         _unpack(model, theta)
-        loss, (dc, db, ds) = loss_and_grad(model, X, y, l1, sample_weight, tables)
+        # an overflowing loss is reported once, as TrainingError, not as
+        # numpy warnings on the way to it
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, (dc, db, ds) = loss_and_grad(model, X, y, l1, sample_weight, tables)
         if not np.isfinite(loss):
             raise TrainingError("non-finite loss")
         if loss < state["f"]:

@@ -9,7 +9,9 @@ false-alarm rate has the closed form
 
 with N reference cells, which is solved for alpha by bisection.
 The fire map counts, per CUT, the scaled reference cells below it, one
-whole-map slice compare per reference offset.
+whole-map slice compare per reference offset.  Calibration on noise maps
+makes one count pass per map for every design: the fire map at the
+smallest alpha, then a recount of only its fires at each larger alpha.
 """
 
 from __future__ import annotations
@@ -154,15 +156,49 @@ def os_cfar_fire_map(power, config: OsCfarConfig):
     return count >= config.k_rank, (hr, hd)
 
 
+def _false_alarm_counts(power, configs):
+    """Fires per config on one map, in config order, from one count pass.
+
+    The fire map runs at the smallest alpha; each larger alpha recounts,
+    by the same test alpha * ref < cut with one gather per reference
+    offset, only the CUTs that fired at the alpha before it.  The cells
+    are non-negative and the configs share window, guard and k_rank.
+    """
+    order = sorted(range(len(configs)), key=lambda i: configs[i].alpha)
+    alpha, (wr, wd), width = configs[order[0]].alpha, configs[0].window, power.shape[1]
+    fires, (hr, hd) = os_cfar_fire_map(power, configs[order[0]])
+    cols = reference_columns((wr, wd), tuple(configs[0].guard))
+    r, d = np.nonzero(fires)
+    base, flat = r * width + d, power.ravel()   # flat index of each firing window's corner
+    counts = np.zeros(len(configs), dtype=np.int64)
+    for i in order:
+        if configs[i].alpha > alpha:
+            alpha, cut = configs[i].alpha, flat[base + hr * width + hd]
+            below = np.zeros(base.size, dtype=np.min_scalar_type(cols.size))
+            for off in cols + cols // wd * (width - wd):
+                below += alpha * flat[base + off] < cut
+            base = base[below >= configs[i].k_rank]
+        counts[i] = base.size
+    return counts
+
+
 def empirical_false_alarm_rate(configs, n_cuts, seed, map_shape=(256, 128)):
     """Monte-Carlo false-alarm rates on i.i.d. exponential noise maps.
 
     Runs whole synthetic maps through the detector until at least n_cuts
     CUTs were tested.  The configs must agree on window, guard and k_rank,
     so that every one tests the same CUTs and one total serves them all.
-    Returns (rates, total_cuts).
+    One count pass per map serves every design: fl(alpha * x) is monotone
+    in alpha for x >= 0, so a CUT that does not fire at one alpha cannot
+    fire at a larger one, and _false_alarm_counts recounts only the fires
+    of the next smaller alpha.  The counts equal one os_cfar_fire_map per
+    design bit for bit.  Returns (rates, total_cuts), in config order.
     """
     configs = list(configs)
+    if not configs:
+        raise ValueError("need at least one config")
+    if not n_cuts >= 1:
+        raise ValueError(f"n_cuts must be >= 1, got {n_cuts}")
     key = (configs[0].window, configs[0].guard, configs[0].k_rank)
     if any((c.window, c.guard, c.k_rank) != key for c in configs):
         raise ValueError("configs must share window, guard and k_rank")
@@ -171,9 +207,6 @@ def empirical_false_alarm_rate(configs, n_cuts, seed, map_shape=(256, 128)):
     n_maps = int(np.ceil(n_cuts / per_map))
     false_alarms = np.zeros(len(configs), dtype=np.int64)
     for _ in range(n_maps):
-        power = rng.exponential(1.0, size=map_shape)
-        for i, cfg in enumerate(configs):
-            fires, _ = os_cfar_fire_map(power, cfg)
-            false_alarms[i] += int(np.count_nonzero(fires))
+        false_alarms += _false_alarm_counts(rng.exponential(1.0, size=map_shape), configs)
     total = n_maps * per_map
     return false_alarms / total, total

@@ -317,6 +317,16 @@ class TestExitCodes:
         assert out == ""
         assert not (tmp_path / "cube.bin").exists() and not (tmp_path / "m.json").exists()
 
+    def test_overflowing_l1_is_one_error_line(self, tmp_path, capsys):
+        # a finite --l1 can still overflow the penalty: the fit stops on the
+        # non-finite loss with no numpy warning before the error
+        model_path = tmp_path / "m.json"
+        code, out, err = run(capsys, "train", "--out", str(model_path), "--l1", "1e308",
+                             "--n-train", "200", "--n-test", "100")
+        assert code == EXIT_FAILURE
+        assert err == "error: non-finite loss\n"
+        assert out == "" and not model_path.exists()
+
     def test_eval_detector_classifier_codes(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

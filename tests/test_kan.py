@@ -410,9 +410,8 @@ class TestFit:
         # finite features near 1e200 overflow the logits: NaN loss without
         # the penalty, inf with it
         X, y = toy_problem(60)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingError, match="non-finite"):
-                fit(init_model(2, rng), X * 1e200, y, l1=l1)
+        with pytest.raises(TrainingError, match="non-finite"):
+            fit(init_model(2, rng), X * 1e200, y, l1=l1)
 
     def test_validation_errors(self, rng):
         model = init_model(2, rng)

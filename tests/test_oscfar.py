@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from rdkan.oscfar import (
     OsCfarConfig,
+    _false_alarm_counts,
     default_k_rank,
     empirical_false_alarm_rate,
     make_os_cfar_config,
@@ -223,10 +224,10 @@ tied_cells = st.one_of(st.just(0.0), st.integers(0, 6).map(float),
 
 
 @st.composite
-def cfar_maps(draw):
+def cfar_maps(draw, windows=(((5, 3), (1, 1)), ((9, 5), (2, 1)), ((33, 11), (2, 1)))):
     """(power, window, guard): a map of tied cells at least one window big,
     with a constant block planted that is 1e4 times brighter."""
-    window, guard = draw(st.sampled_from([((5, 3), (1, 1)), ((9, 5), (2, 1)), ((33, 11), (2, 1))]))
+    window, guard = draw(st.sampled_from(windows))
     shape = (draw(st.integers(window[0], window[0] + 10)), draw(st.integers(window[1], window[1] + 6)))
     power = draw(arrays(np.float64, shape, elements=tied_cells))
     r0, d0 = draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))
@@ -301,3 +302,89 @@ class TestEmpiricalRates:
         b = make_os_cfar_config(1e-2, window=(7, 3), guard=(1, 1))
         with pytest.raises(ValueError, match="share"):
             empirical_false_alarm_rate([a, b], 1e4, seed=0)
+
+    def test_no_configs(self):
+        with pytest.raises(ValueError, match="at least one config"):
+            empirical_false_alarm_rate([], 1e4, seed=0)
+
+    @pytest.mark.parametrize("n_cuts", [0, -5, 0.5, float("nan")])
+    def test_fewer_than_one_cut(self, n_cuts):
+        cfg = make_os_cfar_config(1e-2, window=(5, 3), guard=(1, 1))
+        with pytest.raises(ValueError, match="n_cuts"):
+            empirical_false_alarm_rate([cfg], n_cuts, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    @pytest.mark.parametrize("window,guard,pfas,map_shape", [
+        ((17, 7), (2, 1), (1e-3, 1e-4), (256, 128)),
+        ((17, 7), (2, 1), (1e-2, 1e-4, 1e-3, 1e-2), (40, 96)),
+        ((5, 3), (1, 1), (1e-1, 0.5, 1e-3, 1e-1, 1e-2), (64, 32)),
+        ((33, 11), (2, 1), (1e-4, 1e-2, 1e-3), (70, 30)),
+    ])
+    def test_equals_per_config_loop(self, seed, window, guard, pfas, map_shape):
+        configs = [make_os_cfar_config(p, window=window, guard=guard) for p in pfas]
+        want, want_total = per_config_rates(configs, 6e4, seed, map_shape)
+        rates, total = empirical_false_alarm_rate(configs, 6e4, seed, map_shape=map_shape)
+        assert total == want_total
+        assert rates.tobytes() == want.tobytes()
+
+
+def fire_counts(power, configs):
+    """Fires per config, one os_cfar_fire_map each."""
+    return [int(np.count_nonzero(os_cfar_fire_map(power, cfg)[0])) for cfg in configs]
+
+
+def per_config_rates(configs, n_cuts, seed, map_shape):
+    """One full fire map per config on every noise map: the oracle for the
+    shared count pass of empirical_false_alarm_rate."""
+    rng = np.random.default_rng(seed)
+    per_map = (map_shape[0] - configs[0].window[0] + 1) * (map_shape[1] - configs[0].window[1] + 1)
+    n_maps = int(np.ceil(n_cuts / per_map))
+    false_alarms = np.zeros(len(configs), dtype=np.int64)
+    for _ in range(n_maps):
+        false_alarms += fire_counts(rng.exponential(1.0, size=map_shape), configs)
+    return false_alarms / (n_maps * per_map), n_maps * per_map
+
+
+# designs from near-always firing to rare, and exact alphas that tie
+# alpha * ref with a quarter-quantized CUT
+shared_pfas = [0.5, 1e-1, 1e-2, 1e-3, 1e-4, 1e-6]
+exact_alphas = [1.0, 1.5, 2.0, 4.0]
+
+
+@st.composite
+def shared_count_cases(draw):
+    """(power, configs): a tied map with a planted strong block and 1-5
+    configs on one window, in any order, alphas possibly repeated."""
+    power, window, guard = draw(cfar_maps(windows=[((5, 3), (1, 1)), ((17, 7), (2, 1)), ((33, 11), (2, 1))]))
+    design = make_os_cfar_config(1e-3, window=window, guard=guard)
+    alphas = st.one_of(
+        st.sampled_from(shared_pfas).map(lambda p: solve_alpha(p, design.n_ref, design.k_rank)),
+        st.sampled_from(exact_alphas),
+    )
+    configs = [replace(design, alpha=a) for a in draw(st.lists(alphas, min_size=1, max_size=5))]
+    return power, draw(st.permutations(configs))
+
+
+class TestSharedCount:
+    @settings(max_examples=100, deadline=None)
+    @given(case=shared_count_cases())
+    def test_each_count_equals_its_fire_map(self, case):
+        power, configs = case
+        assert _false_alarm_counts(power, configs).tolist() == fire_counts(power, configs)
+
+    @pytest.mark.parametrize("window,guard", [((5, 3), (1, 1)), ((33, 11), (2, 1))])
+    def test_recount_is_strict(self, window, guard):
+        # every reference cell 1, the CUT 2: it fires at alpha 1 and, since
+        # 2 * 1 < 2 is false, not at alpha 2
+        base = make_os_cfar_config(1e-3, window=window, guard=guard)
+        cfgs = [replace(base, alpha=2.0), replace(base, alpha=1.0)]
+        power = np.ones(window)
+        power[window[0] // 2, window[1] // 2] = 2.0
+        assert _false_alarm_counts(power, cfgs).tolist() == [0, 1]
+
+    def test_every_cut_fires_at_the_smallest_alpha(self, rng):
+        # the worst case: every CUT survives to the recount
+        cfgs = [make_os_cfar_config(p) for p in (0.99, 0.999)]
+        power = rng.exponential(1.0, (64, 32))
+        assert os_cfar_fire_map(power, cfgs[1])[0].all()
+        assert _false_alarm_counts(power, cfgs).tolist() == fire_counts(power, cfgs)
