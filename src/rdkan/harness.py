@@ -305,10 +305,8 @@ def oscfar_runtime_scaling(windows=((9, 5), (17, 7), (25, 9), (33, 11))):
     n_refs, times = [], []
     for win in windows:
         cfg = make_os_cfar_config(1e-3, window=win, guard=(2, 1))
-        order_statistic_map(power, cfg.window, cfg.guard, cfg.k_rank)  # warm up
-        times.append(
-            _timed(lambda: order_statistic_map(power, cfg.window, cfg.guard, cfg.k_rank))
-        )
+        order_statistic_map(power, cfg)  # warm up
+        times.append(_timed(lambda: order_statistic_map(power, cfg)))
         n_refs.append(cfg.n_ref)
     x = np.array(n_refs) * np.log2(n_refs)
     slope = float(np.polyfit(np.log(x), np.log(times), 1)[0])

@@ -9,15 +9,17 @@ false-alarm rate has the closed form
 
 with N reference cells, which is solved for alpha by bisection.
 The fire map counts, per CUT, the scaled reference cells below it, one
-whole-map slice compare per reference offset.  Calibration on noise maps
-makes one count pass per map for every design: the fire map at the
-smallest alpha, then a recount of only its fires at each larger alpha.
+whole-map slice compare per reference offset.  order_statistic_map(power,
+config) sorts the reference cells of every CUT instead; it is the
+statistic the tests check the fire map against.  Calibration on noise
+maps runs one fire map per map, at the smallest alpha, and compares every
+design's alpha times the k-th reference cell of those fires with their
+CUTs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -100,38 +102,44 @@ def make_os_cfar_config(pfa, window=(17, 7), guard=(2, 1)) -> OsCfarConfig:
     return replace(config, k_rank=k, alpha=solve_alpha(pfa, config.n_ref, k))
 
 
-@lru_cache(maxsize=32)
 def reference_columns(window, guard):
     """Flat indices of reference cells inside a window (guard block removed)."""
-    wr, wd = window
-    mask = np.ones((wr, wd), dtype=bool)
-    cr, cd = wr // 2, wd // 2
+    mask = np.ones(window, dtype=bool)
+    cr, cd = window[0] // 2, window[1] // 2
     mask[cr - guard[0]:cr + guard[0] + 1, cd - guard[1]:cd + guard[1] + 1] = False
     return np.flatnonzero(mask.ravel())
 
 
-def _interior(shape, window, guard, k_rank):
+def _interior(shape, config):
     """Interior CUT grid (n_r, n_d), CUT offset (hr, hd) and reference columns."""
-    wr, wd = window
+    (wr, wd), k_rank = config.window, config.k_rank
     if shape[0] < wr or shape[1] < wd:
-        raise ValueError(f"map {shape} smaller than window {window}")
-    cols = reference_columns(tuple(window), tuple(guard))
+        raise ValueError(f"map {shape} smaller than window {config.window}")
+    cols = reference_columns(config.window, config.guard)
     if not 0 < k_rank <= cols.size:
         raise ValueError(f"k_rank must be in 1..{cols.size}, got {k_rank}")
     return (shape[0] - wr + 1, shape[1] - wd + 1), (wr // 2, wd // 2), cols
 
 
-def order_statistic_map(power, window=(17, 7), guard=(2, 1), k_rank=78):
+def _kth_reference(power, config, r, d):
+    """k-th smallest reference cell, by a full sort, of the windows at
+    interior grid index (r, d): index arrays or slices."""
+    windows = sliding_window_view(power, config.window)[r, d]
+    refs = windows.reshape(-1, config.window[0] * config.window[1])
+    refs = refs[:, reference_columns(config.window, config.guard)]
+    return np.sort(refs, axis=1)[:, config.k_rank - 1]
+
+
+def order_statistic_map(power, config: OsCfarConfig):
     """k-th smallest reference cell for every interior CUT.
 
     Returns (stat (R', D'), (hr, hd)) where the CUT at stat[i, j] is
-    power[i + hr, j + hd].  Reference cells are fully sorted per CUT.  Tests
-    use it as the reference and the runtime bench times it; detectors count.
+    power[i + hr, j + hd].  Tests use it as the reference and the runtime
+    bench times it; detectors count.
     """
     power = np.asarray(power)
-    (n_r, n_d), offset, cols = _interior(power.shape, window, guard, k_rank)
-    refs = sliding_window_view(power, tuple(window)).reshape(n_r * n_d, -1)[:, cols]
-    return np.sort(refs, axis=1)[:, k_rank - 1].reshape(n_r, n_d), offset
+    shape, offset, _ = _interior(power.shape, config)
+    return _kth_reference(power, config, slice(None), slice(None)).reshape(shape), offset
 
 
 def os_cfar_fire_map(power, config: OsCfarConfig):
@@ -146,7 +154,7 @@ def os_cfar_fire_map(power, config: OsCfarConfig):
     fires[i, j] refers to power[i + hr, j + hd]; edge cells without a full
     window are never tested.
     """
-    (n_r, n_d), (hr, hd), cols = _interior(power.shape, config.window, config.guard, config.k_rank)
+    (n_r, n_d), (hr, hd), cols = _interior(power.shape, config)
     cut = power[hr:hr + n_r, hd:hd + n_d]
     scaled = config.alpha * power
     count = np.zeros((n_r, n_d), dtype=np.min_scalar_type(cols.size))
@@ -157,29 +165,18 @@ def os_cfar_fire_map(power, config: OsCfarConfig):
 
 
 def _false_alarm_counts(power, configs):
-    """Fires per config on one map, in config order, from one count pass.
+    """Fires per config on one map, in config order, from one fire map.
 
-    The fire map runs at the smallest alpha; each larger alpha recounts,
-    by the same test alpha * ref < cut with one gather per reference
-    offset, only the CUTs that fired at the alpha before it.  The cells
-    are non-negative and the configs share window, guard and k_rank.
+    The fire map runs at the smallest alpha, and each config counts the
+    fires whose CUT exceeds its alpha times their k-th reference cell.
+    The cells are non-negative and the configs share window, guard and
+    k_rank.
     """
-    order = sorted(range(len(configs)), key=lambda i: configs[i].alpha)
-    alpha, (wr, wd), width = configs[order[0]].alpha, configs[0].window, power.shape[1]
-    fires, (hr, hd) = os_cfar_fire_map(power, configs[order[0]])
-    cols = reference_columns((wr, wd), tuple(configs[0].guard))
+    low = min(configs, key=lambda c: c.alpha)
+    fires, (hr, hd) = os_cfar_fire_map(power, low)
     r, d = np.nonzero(fires)
-    base, flat = r * width + d, power.ravel()   # flat index of each firing window's corner
-    counts = np.zeros(len(configs), dtype=np.int64)
-    for i in order:
-        if configs[i].alpha > alpha:
-            alpha, cut = configs[i].alpha, flat[base + hr * width + hd]
-            below = np.zeros(base.size, dtype=np.min_scalar_type(cols.size))
-            for off in cols + cols // wd * (width - wd):
-                below += alpha * flat[base + off] < cut
-            base = base[below >= configs[i].k_rank]
-        counts[i] = base.size
-    return counts
+    stat, cut = _kth_reference(power, low, r, d), power[r + hr, d + hd]
+    return np.array([np.count_nonzero(c.alpha * stat < cut) for c in configs], dtype=np.int64)
 
 
 def empirical_false_alarm_rate(configs, n_cuts, seed, map_shape=(256, 128)):
@@ -187,12 +184,13 @@ def empirical_false_alarm_rate(configs, n_cuts, seed, map_shape=(256, 128)):
 
     Runs whole synthetic maps through the detector until at least n_cuts
     CUTs were tested.  The configs must agree on window, guard and k_rank,
-    so that every one tests the same CUTs and one total serves them all.
-    One count pass per map serves every design: fl(alpha * x) is monotone
-    in alpha for x >= 0, so a CUT that does not fire at one alpha cannot
-    fire at a larger one, and _false_alarm_counts recounts only the fires
-    of the next smaller alpha.  The counts equal one os_cfar_fire_map per
-    design bit for bit.  Returns (rates, total_cuts), in config order.
+    so that every one tests the same CUTs and one total serves them all;
+    a map smaller than the window is a ValueError.  One fire map per noise
+    map serves every design: fl(alpha * x) is monotone in alpha and in x
+    for x >= 0, so only the fires at the smallest alpha can fire at a
+    larger one, and each does exactly when alpha * os_k < cut.  The counts
+    equal one os_cfar_fire_map per design bit for bit.  Returns (rates,
+    total_cuts), in config order.
     """
     configs = list(configs)
     if not configs:
@@ -202,11 +200,11 @@ def empirical_false_alarm_rate(configs, n_cuts, seed, map_shape=(256, 128)):
     key = (configs[0].window, configs[0].guard, configs[0].k_rank)
     if any((c.window, c.guard, c.k_rank) != key for c in configs):
         raise ValueError("configs must share window, guard and k_rank")
+    (n_r, n_d), _, _ = _interior(map_shape, configs[0])
     rng = np.random.default_rng(seed)
-    per_map = (map_shape[0] - key[0][0] + 1) * (map_shape[1] - key[0][1] + 1)
-    n_maps = int(np.ceil(n_cuts / per_map))
+    n_maps = int(np.ceil(n_cuts / (n_r * n_d)))
     false_alarms = np.zeros(len(configs), dtype=np.int64)
     for _ in range(n_maps):
         false_alarms += _false_alarm_counts(rng.exponential(1.0, size=map_shape), configs)
-    total = n_maps * per_map
+    total = n_maps * n_r * n_d
     return false_alarms / total, total

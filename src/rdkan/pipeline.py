@@ -144,17 +144,13 @@ def detect(rd: RDMap, classifier: DecisionRule, min_margin: float | None = None)
     return nms(detections)
 
 
-def segment_detections_to_csv(path, detections, geometry=None) -> None:
+def segment_detections_to_csv(path, detections, geometry) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["range_bin", "doppler_bin", "margin", "peak_power", "n_sweep_hits"]
-        if geometry is not None:
-            header += ["range_m", "velocity_mps"]
-        writer.writerow(header)
+        writer.writerow(["range_bin", "doppler_bin", "margin", "peak_power", "n_sweep_hits",
+                         "range_m", "velocity_mps"])
         for det in detections:
-            row = [det.range_bin, det.doppler_bin, f"{det.margin:.6g}",
-                   f"{det.peak_power:.6g}", det.n_sweep_hits]
-            if geometry is not None:
-                row += [f"{geometry.bin_to_range(det.range_bin):.4f}",
-                        f"{geometry.bin_to_velocity(det.doppler_bin):.4f}"]
-            writer.writerow(row)
+            writer.writerow([det.range_bin, det.doppler_bin, f"{det.margin:.6g}",
+                             f"{det.peak_power:.6g}", det.n_sweep_hits,
+                             f"{geometry.bin_to_range(det.range_bin):.4f}",
+                             f"{geometry.bin_to_velocity(det.doppler_bin):.4f}"])

@@ -113,8 +113,9 @@ class TestOrderStatistics:
 
     def test_matches_brute_force(self, rng):
         power = rng.exponential(1.0, (12, 9))
-        window, guard, k = (5, 3), (1, 1), 4
-        stat, (hr, hd) = order_statistic_map(power, window, guard, k)
+        k = 4
+        cfg = OsCfarConfig(window=(5, 3), guard=(1, 1), k_rank=k)
+        stat, (hr, hd) = order_statistic_map(power, cfg)
         assert (hr, hd) == (2, 1)
         assert stat.shape == (8, 7)
         for i in range(8):
@@ -129,9 +130,10 @@ class TestOrderStatistics:
 
     def test_validation(self, rng):
         with pytest.raises(ValueError, match="smaller"):
-            order_statistic_map(rng.exponential(1.0, (10, 5)))
+            order_statistic_map(rng.exponential(1.0, (10, 5)), OsCfarConfig())
+        cfg = OsCfarConfig(window=(5, 3), guard=(1, 1), k_rank=7)
         with pytest.raises(ValueError, match="k_rank"):
-            order_statistic_map(rng.exponential(1.0, (32, 32)), (5, 3), (1, 1), 7)
+            order_statistic_map(rng.exponential(1.0, (32, 32)), cfg)
 
 
 def fired_cells(power, cfg):
@@ -147,7 +149,7 @@ class TestDetect:
         cfg = make_os_cfar_config(1e-4, window=(5, 3), guard=(1, 1))
         fires, (hr, hd) = os_cfar_fire_map(power, cfg)
         assert fires[30 - hr, 16 - hd]
-        stat, _ = order_statistic_map(power, cfg.window, cfg.guard, cfg.k_rank)
+        stat, _ = order_statistic_map(power, cfg)
         assert cfg.alpha * stat[30 - hr, 16 - hd] < 1e6
 
     def test_spike_does_not_raise_own_threshold(self):
@@ -176,7 +178,7 @@ class TestDetect:
         power = rng.exponential(1.0, (64, 32))
         cfg_a = make_os_cfar_config(1e-2, window=(5, 3), guard=(1, 1))
         cfg_b = make_os_cfar_config(1e-3, window=(5, 3), guard=(1, 1))
-        stat, (hr, hd) = order_statistic_map(power, cfg_a.window, cfg_a.guard, cfg_a.k_rank)
+        stat, (hr, hd) = order_statistic_map(power, cfg_a)
         cut = power[hr:hr + stat.shape[0], hd:hd + stat.shape[1]]
         fires_a, _ = os_cfar_fire_map(power, cfg_a)
         fires_b, _ = os_cfar_fire_map(power, cfg_b)
@@ -237,7 +239,7 @@ def cfar_maps(draw, windows=(((5, 3), (1, 1)), ((9, 5), (2, 1)), ((33, 11), (2, 
 
 def sorted_fires(power, cfg):
     """Fire map and offset by the full-sort oracle."""
-    stat, (hr, hd) = order_statistic_map(power, cfg.window, cfg.guard, cfg.k_rank)
+    stat, (hr, hd) = order_statistic_map(power, cfg)
     cut = power[hr:hr + stat.shape[0], hd:hd + stat.shape[1]]
     return cut > cfg.alpha * stat, (hr, hd)
 
@@ -306,6 +308,13 @@ class TestEmpiricalRates:
     def test_no_configs(self):
         with pytest.raises(ValueError, match="at least one config"):
             empirical_false_alarm_rate([], 1e4, seed=0)
+
+    @pytest.mark.parametrize("map_shape", [(10, 200), (200, 3)])
+    def test_map_smaller_than_window(self, map_shape):
+        # one axis too short: no CUT fits, so no map is drawn
+        cfg = make_os_cfar_config(1e-3)
+        with pytest.raises(ValueError, match="smaller than window"):
+            empirical_false_alarm_rate([cfg], 1e4, seed=0, map_shape=map_shape)
 
     @pytest.mark.parametrize("n_cuts", [0, -5, 0.5, float("nan")])
     def test_fewer_than_one_cut(self, n_cuts):
@@ -382,8 +391,15 @@ class TestSharedCount:
         power[window[0] // 2, window[1] // 2] = 2.0
         assert _false_alarm_counts(power, cfgs).tolist() == [0, 1]
 
+    def test_nothing_fires_at_the_smallest_alpha(self):
+        # a constant map with alphas >= 1: no CUT fires, so the gather is empty
+        base = make_os_cfar_config(1e-3)
+        cfgs = [replace(base, alpha=1.0), replace(base, alpha=base.alpha)]
+        power = np.full((40, 20), 3.0)
+        assert _false_alarm_counts(power, cfgs).tolist() == [0, 0] == fire_counts(power, cfgs)
+
     def test_every_cut_fires_at_the_smallest_alpha(self, rng):
-        # the worst case: every CUT survives to the recount
+        # the worst case: every CUT's reference cells are gathered and sorted
         cfgs = [make_os_cfar_config(p) for p in (0.99, 0.999)]
         power = rng.exponential(1.0, (64, 32))
         assert os_cfar_fire_map(power, cfgs[1])[0].all()

@@ -288,7 +288,8 @@ class TestCsv:
         first = lines[1].split(",")
         assert float(first[5]) == pytest.approx(100 * geometry.range_res, abs=1e-3)
 
-    def test_without_geometry(self, tmp_path):
+    def test_empty_list_writes_header(self, tmp_path, geometry):
         path = tmp_path / "dets.csv"
-        segment_detections_to_csv(path, [])
-        assert path.read_text().strip() == "range_bin,doppler_bin,margin,peak_power,n_sweep_hits"
+        segment_detections_to_csv(path, [], geometry)
+        assert path.read_text().strip() == (
+            "range_bin,doppler_bin,margin,peak_power,n_sweep_hits,range_m,velocity_mps")
